@@ -5,62 +5,17 @@ series -> scalar Kalman filtering -> accuracy report and plots.
 """
 
 from flowcast.errors import FlowcastError, ConfigError, DataError
-from flowcast.kalman import (
-    DEFAULT_INIT_VAR,
-    FilterParams,
-    FilterState,
-    FilterStep,
-    FilterTrace,
-    NoiseEstimate,
-    estimate_noise,
-    filter_series,
-    forecast_next,
-    gain,
-    init_state,
-    predict,
-    update,
-)
-from flowcast.metrics import (
-    DescriptiveStats,
-    EvaluationReport,
-    MapeBand,
-    RmspeBand,
-    build_report,
-    descriptive,
-    histogram,
-    mape,
-    mape_band,
-    pearson,
-    r_squared,
-    rmspe,
-    rmspe_band,
-    trend_slope,
-)
-from flowcast.pcu import (
-    DEFAULT_FACTORS,
-    ClassifiedCount,
-    PcuTable,
-    VehicleClass,
-    parse_vehicle_class,
-    pcu_factor,
-    to_pcu,
-)
-from flowcast.series import FlowSeries, SeriesIssue, aggregate, validate_series
-from flowcast.simulate import DEFAULT_CLASS_MIX, Scenario, generate, preset, presets
+from flowcast.kalman import FilterParams, estimate_noise, filter_series, forecast_next
+from flowcast.metrics import build_report
+from flowcast.pcu import PcuTable, VehicleClass
+from flowcast.series import FlowSeries, aggregate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FlowcastError", "ConfigError", "DataError",
-    "VehicleClass", "PcuTable", "ClassifiedCount", "DEFAULT_FACTORS",
-    "pcu_factor", "to_pcu", "parse_vehicle_class",
-    "FlowSeries", "SeriesIssue", "aggregate", "validate_series",
-    "FilterParams", "FilterState", "FilterStep", "FilterTrace", "NoiseEstimate",
-    "DEFAULT_INIT_VAR", "init_state", "predict", "gain", "update",
-    "filter_series", "forecast_next", "estimate_noise",
-    "DescriptiveStats", "EvaluationReport", "MapeBand", "RmspeBand",
-    "mape", "rmspe", "pearson", "r_squared", "descriptive",
-    "mape_band", "rmspe_band", "trend_slope", "histogram", "build_report",
-    "Scenario", "DEFAULT_CLASS_MIX", "generate", "presets", "preset",
+    "VehicleClass", "PcuTable", "FlowSeries", "aggregate",
+    "FilterParams", "estimate_noise", "filter_series", "forecast_next",
+    "build_report",
     "__version__",
 ]

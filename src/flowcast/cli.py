@@ -13,18 +13,12 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from flowcast.config import (
-    EVALUATE_MODES,
-    PERCENT_DENOMINATORS,
-    RunConfig,
-    config_file_from_env,
-    load_config_file,
-    resolve_config,
-)
+from flowcast.config import SETTINGS, RunConfig, config_file_from_env, load_config_file, resolve_config
 from flowcast.errors import ConfigError, DataError, InvalidParams, InvalidScenario
 from flowcast.io import (
     counts_csv_text,
@@ -42,7 +36,7 @@ from flowcast.kalman import FilterParams, FilterTrace, estimate_noise, filter_se
 from flowcast.metrics import build_report
 from flowcast.plots import render_plots
 from flowcast.series import FlowSeries, aggregate
-from flowcast.simulate import Scenario, generate, preset, with_overrides
+from flowcast.simulate import Scenario, generate, preset
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,36 +56,15 @@ def _positive_int(text: str) -> int:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", metavar="PATH", help="key=value config file; overrides FLOWCAST_CONFIG")
-    group.add_argument("--bin-duration", type=int, dest="bin_duration", metavar="SECONDS",
-                       help="aggregation bin length (default 300)")
-    group.add_argument("--p0", type=float, dest="init_var", metavar="VAR",
-                       help="initial estimate variance (default 1e6)")
-    group.add_argument("--m-t", type=float, dest="transition", metavar="X",
-                       help="state transition multiplier (default 1)")
-    group.add_argument("--m-m", type=float, dest="measurement_scale", metavar="X",
-                       help="state-to-measurement multiplier (default 1)")
-    group.add_argument("--q", type=float, dest="process_var", metavar="VAR",
-                       help="process noise variance (default: estimated from the series)")
-    group.add_argument("--r", type=float, dest="measurement_var", metavar="VAR",
-                       help="measurement noise variance (default: estimated from the series)")
-    group.add_argument("--percent-denominator", choices=PERCENT_DENOMINATORS, dest="percent_denominator",
-                       help="divide percent errors by the forecast (default) or the observed value")
-    group.add_argument("--evaluate-mode", choices=EVALUATE_MODES, dest="evaluate_mode",
-                       help="score one-step-ahead forecasts (default) or filtered estimates")
-    group.add_argument("--histogram-bins", type=_positive_int, dest="histogram_bins", metavar="N",
-                       help="histogram bin count for plots (default 8)")
-    group.add_argument("--out-dir", type=Path, dest="out_dir", metavar="DIR",
-                       help="directory for report.json, trace.csv and the plots")
+    for setting in SETTINGS:
+        group.add_argument(setting.flag, type=setting.parse, dest=setting.field, metavar=setting.metavar,
+                           choices=setting.choices, help=setting.help)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None) or config_file_from_env()
     file_values = load_config_file(config_path) if config_path else None
-    flag_names = (
-        "bin_duration", "init_var", "transition", "measurement_scale", "process_var",
-        "measurement_var", "percent_denominator", "evaluate_mode", "histogram_bins", "out_dir",
-    )
-    return resolve_config(file_values, **{name: getattr(args, name, None) for name in flag_names})
+    return resolve_config(file_values, **{setting.field: getattr(args, setting.field) for setting in SETTINGS})
 
 
 def _filter_params(config: RunConfig, series: FlowSeries) -> FilterParams:
@@ -140,7 +113,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         if value is not None
     }
     try:
-        scenario = with_overrides(scenario, **overrides)
+        scenario = dataclasses.replace(scenario, **overrides)
     except InvalidScenario as exc:
         raise ConfigError(str(exc)) from None
     records = generate(scenario)

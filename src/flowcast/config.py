@@ -11,7 +11,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from flowcast.errors import ConfigError
 from flowcast.kalman import DEFAULT_INIT_VAR
@@ -29,11 +29,11 @@ class RunConfig:
     """Validated knobs for the aggregate/filter/evaluate pipeline."""
 
     bin_duration: int = DEFAULT_BIN_DURATION
-    init_var: float = DEFAULT_INIT_VAR          # config key: p0
-    transition: float = 1.0                     # config key: m_t
-    measurement_scale: float = 1.0              # config key: m_m
-    process_var: float | None = None            # config key: q; None means estimate
-    measurement_var: float | None = None        # config key: r; None means estimate
+    init_var: float = DEFAULT_INIT_VAR
+    transition: float = 1.0
+    measurement_scale: float = 1.0
+    process_var: float | None = None            # None means estimate
+    measurement_var: float | None = None        # None means estimate
     percent_denominator: str = "forecast"
     evaluate_mode: str = "predicted"
     histogram_bins: int = 8
@@ -72,18 +72,49 @@ class RunConfig:
         return PcuTable(factors)
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+@dataclass(frozen=True)
+class Setting:
+    """One run setting: its config-file key, RunConfig field, parser and help.
+
+    The CLI flag is "--" plus the key with underscores turned into dashes.
+    """
+
+    key: str
+    field: str
+    parse: Callable[[str], Any]
+    metavar: str | None
+    help: str
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
 
 
-def _parse_float(key: str, text: str) -> float:
+SETTINGS = (
+    Setting("bin_duration", "bin_duration", int, "SECONDS", "aggregation bin length (default 300)"),
+    Setting("p0", "init_var", float, "VAR", "initial estimate variance (default 1e6)"),
+    Setting("m_t", "transition", float, "X", "state transition multiplier (default 1)"),
+    Setting("m_m", "measurement_scale", float, "X", "state-to-measurement multiplier (default 1)"),
+    Setting("q", "process_var", float, "VAR", "process noise variance (default: estimated from the series)"),
+    Setting("r", "measurement_var", float, "VAR", "measurement noise variance (default: estimated from the series)"),
+    Setting("percent_denominator", "percent_denominator", str, None,
+            "divide percent errors by the forecast (default) or the observed value", PERCENT_DENOMINATORS),
+    Setting("evaluate_mode", "evaluate_mode", str, None,
+            "score one-step-ahead forecasts (default) or filtered estimates", EVALUATE_MODES),
+    Setting("histogram_bins", "histogram_bins", int, "N", "histogram bin count for plots (default 8)"),
+    Setting("out_dir", "out_dir", Path, "DIR", "directory for report.json, trace.csv and the plots"),
+)
+
+_SETTINGS_BY_KEY = {setting.key: setting for setting in SETTINGS}
+_PCU_KEYS = {f"pcu.{cls.label}": cls for cls in VehicleClass}
+
+
+def _parse(key: str, parse: Callable[[str], Any], text: str) -> Any:
     try:
-        return float(text)
+        return parse(text)
     except ValueError:
-        raise ConfigError(f"{key} must be a number, got {text!r}") from None
+        raise ConfigError(f"{key} must be {'an integer' if parse is int else 'a number'}, got {text!r}") from None
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -115,32 +146,11 @@ def resolve_config(file_values: Mapping[str, str] | None = None, **flag_values) 
     pcu_overrides: dict[VehicleClass, float] = {}
 
     for key, text in (file_values or {}).items():
-        if key.startswith("pcu."):
-            label = key[len("pcu."):]
-            matches = [c for c in VehicleClass if c.label == label]
-            if not matches:
-                raise ConfigError(f"unknown config key {key!r}")
-            pcu_overrides[matches[0]] = _parse_float(key, text)
-        elif key == "bin_duration":
-            merged["bin_duration"] = _parse_int(key, text)
-        elif key == "p0":
-            merged["init_var"] = _parse_float(key, text)
-        elif key == "m_t":
-            merged["transition"] = _parse_float(key, text)
-        elif key == "m_m":
-            merged["measurement_scale"] = _parse_float(key, text)
-        elif key == "q":
-            merged["process_var"] = _parse_float(key, text)
-        elif key == "r":
-            merged["measurement_var"] = _parse_float(key, text)
-        elif key == "percent_denominator":
-            merged["percent_denominator"] = text
-        elif key == "evaluate_mode":
-            merged["evaluate_mode"] = text
-        elif key == "histogram_bins":
-            merged["histogram_bins"] = _parse_int(key, text)
-        elif key == "out_dir":
-            merged["out_dir"] = Path(text)
+        if key in _SETTINGS_BY_KEY:
+            setting = _SETTINGS_BY_KEY[key]
+            merged[setting.field] = _parse(key, setting.parse, text)
+        elif key in _PCU_KEYS:
+            pcu_overrides[_PCU_KEYS[key]] = _parse(key, float, text)
         else:
             raise ConfigError(f"unknown config key {key!r}")
 

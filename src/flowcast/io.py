@@ -38,12 +38,25 @@ TRACE_FILENAME = "trace.csv"
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temp file and rename; readers never see a partial file."""
+    """Write via a temp file and rename; readers never see a partial file.
+
+    The temp file has a unique name in the target's directory, so
+    concurrent writers to one path never share it; the last rename wins.
+    It is synced before the rename and removed if the write fails.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _float_repr(value: float) -> str:
@@ -158,28 +171,24 @@ def sniff_input_kind(path: str | Path) -> str:
     raise MalformedRow(1, f"unrecognized header {','.join(header)!r}")
 
 
-def write_counts_csv(records: Iterable[ClassifiedCount], path: str | Path) -> None:
-    lines = [",".join(COUNTS_HEADER)]
-    lines += [f"{r.timestamp},{r.vehicle_class.label},{r.count}" for r in records]
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
 def counts_csv_text(records: Iterable[ClassifiedCount]) -> str:
     lines = [",".join(COUNTS_HEADER)]
     lines += [f"{r.timestamp},{r.vehicle_class.label},{r.count}" for r in records]
     return "\n".join(lines) + "\n"
 
 
-def write_series_csv(series: FlowSeries, path: str | Path) -> None:
-    lines = [",".join(SERIES_HEADER)]
-    lines += [f"{t},{_float_repr(v)}" for t, v in zip(series.bin_starts(), series.values)]
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+def write_counts_csv(records: Iterable[ClassifiedCount], path: str | Path) -> None:
+    atomic_write_text(Path(path), counts_csv_text(records))
 
 
 def series_csv_text(series: FlowSeries) -> str:
     lines = [",".join(SERIES_HEADER)]
     lines += [f"{t},{_float_repr(v)}" for t, v in zip(series.bin_starts(), series.values)]
     return "\n".join(lines) + "\n"
+
+
+def write_series_csv(series: FlowSeries, path: str | Path) -> None:
+    atomic_write_text(Path(path), series_csv_text(series))
 
 
 def trace_csv_text(series: FlowSeries, trace: FilterTrace, params: FilterParams) -> str:

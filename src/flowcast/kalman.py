@@ -214,10 +214,11 @@ def estimate_noise(series: FlowSeries) -> NoiseEstimate:
     """Method-of-moments defaults for an unparameterized series.
 
     Random-walk transition (1.0); measurement variance is half the sample
-    variance of first differences; process variance keeps a small floor of
-    1e-6 times the value variance so the filter never freezes entirely.
-    A constant series falls back to symmetric 1e-9 floors. Sample (n-1)
-    variances throughout; deterministic given the series.
+    variance of first differences. Process variance is always the floor,
+    1e-6 times the value variance: it is not estimated from the data, so
+    the filter stays close to a running mean. A constant series falls back
+    to symmetric 1e-9 floors. Sample (n-1) variances throughout;
+    deterministic given the series.
     """
     values = series.values
     if len(values) < 3:
@@ -230,5 +231,5 @@ def estimate_noise(series: FlowSeries) -> NoiseEstimate:
     diffs = [b - a for a, b in zip(values, values[1:])]
     diff_var = statistics.variance(diffs)
     measurement_var = diff_var / 2.0
-    process_var = max(diff_var - 2.0 * measurement_var, PROCESS_VAR_FLOOR_RATIO * values_var)
+    process_var = PROCESS_VAR_FLOOR_RATIO * values_var
     return NoiseEstimate(process_var, measurement_var, 1.0)

@@ -51,7 +51,6 @@ DEFAULT_FACTORS: Mapping[VehicleClass, float] = {
 _ALIASES = {
     "car": VehicleClass.PRIVATE_CAR,
     "rickshaw": VehicleClass.CYCLE_RICKSHAW,
-    "cng": VehicleClass.CNG,
 }
 
 
@@ -110,11 +109,6 @@ class ClassifiedCount:
     def __post_init__(self):
         if self.count < 0:
             raise NegativeCount(f"count must be >= 0, got {self.count}")
-
-
-def pcu_factor(table: PcuTable, vehicle_class: VehicleClass) -> float:
-    """Factor for one class; total for every valid class."""
-    return table.factor(vehicle_class)
 
 
 def to_pcu(table: PcuTable, counts: Mapping[VehicleClass, int]) -> float:

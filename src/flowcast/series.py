@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from flowcast.errors import DataError, EmptyInput, RecordBeforeStart
 from flowcast.pcu import ClassifiedCount, PcuTable
@@ -103,8 +103,3 @@ def validate_series(series: FlowSeries) -> list[SeriesIssue]:
         elif v < 0:
             issues.append(SeriesIssue("negative_value", i))
     return issues
-
-
-def total_pcu(values: Sequence[float]) -> float:
-    """Plain sum, exposed for conservation checks against to_pcu."""
-    return float(sum(values))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from flowcast.errors import InvalidScenario, UnknownPreset
@@ -151,8 +151,3 @@ def preset(name: str) -> Scenario:
         return presets()[name]
     except KeyError:
         raise UnknownPreset(name) from None
-
-
-def with_overrides(scenario: Scenario, **changes) -> Scenario:
-    """Scenario copy with some fields replaced; revalidates."""
-    return replace(scenario, **changes)

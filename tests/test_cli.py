@@ -118,6 +118,13 @@ class TestRunAndEvaluate:
     def test_missing_out_dir_is_usage_error(self, counts_csv):
         assert run_cli("run", str(counts_csv)) == 1
 
+    def test_existing_tmp_name_in_out_dir(self, tmp_path, counts_csv):
+        out_dir = tmp_path / "results"
+        (out_dir / "report.json.tmp").mkdir(parents=True)
+        assert run_cli("run", str(counts_csv), "--out-dir", str(out_dir)) == 0
+        expected = {"report.json.tmp", "report.json", "trace.csv", *PLOT_FILENAMES}
+        assert {p.name for p in out_dir.iterdir()} == expected
+
     def test_rerun_is_idempotent(self, tmp_path, counts_csv):
         first = tmp_path / "one"
         second = tmp_path / "two"

@@ -2,12 +2,14 @@
 
 import json
 import math
+import threading
 
 import pytest
 
 from flowcast.config import RunConfig, load_config_file, resolve_config
 from flowcast.errors import ConfigError, EmptyInput, MalformedRow, UnknownVehicleClass
 from flowcast.io import (
+    atomic_write_text,
     read_counts_csv,
     read_series_csv,
     report_json_text,
@@ -210,6 +212,34 @@ class TestReportWriting:
         second = lines[2].split(",")
         assert float(second[2]) == trace.steps[0].forecast
         assert float(second[4]) == trace.steps[0].gain
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "report.json").mkdir()
+        with pytest.raises(OSError):
+            atomic_write_text(tmp_path / "report.json", "{}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        target = tmp_path / "trace.csv"
+        texts = [f"writer {i}\n" * 1000 for i in range(4)]
+        errors = []
+
+        def write_many(text):
+            try:
+                for _ in range(25):
+                    atomic_write_text(target, text)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write_many, args=(text,)) for text in texts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert target.read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         series, params, trace, report = _report_fixture()

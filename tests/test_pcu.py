@@ -10,7 +10,6 @@ from flowcast.pcu import (
     PcuTable,
     VehicleClass,
     parse_vehicle_class,
-    pcu_factor,
     to_pcu,
 )
 
@@ -32,7 +31,7 @@ EXPECTED_FACTORS = {
 def test_default_factors_match_guideline():
     assert dict(DEFAULT_FACTORS) == EXPECTED_FACTORS
     for cls, expected in EXPECTED_FACTORS.items():
-        assert pcu_factor(TABLE, cls) == expected
+        assert TABLE.factor(cls) == expected
 
 
 def test_exactly_nine_classes():
