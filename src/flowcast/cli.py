@@ -91,7 +91,7 @@ def _filter_params(config: RunConfig, series: FlowSeries) -> FilterParams:
 def _predictions(trace: FilterTrace, params: FilterParams, mode: str) -> tuple[float, ...]:
     if mode == "predicted":
         return trace.forecasts
-    return tuple(params.measurement_scale * state.estimate for state in trace.posteriors)
+    return tuple(params.measurement_scale * estimate for estimate in trace.estimates)
 
 
 def _note(message: str) -> None:
@@ -156,7 +156,7 @@ def _cmd_forecast(args: argparse.Namespace) -> None:
     if args.out:
         write_trace_csv(series, trace, params, args.out)
         _note(f"wrote trace for {len(series)} bins to {args.out}")
-    values = forecast_next(trace.steps[-1].posterior, params, args.horizon)
+    values = forecast_next(trace.final_state, params, args.horizon)
     sys.stdout.write("step,pcu\n")
     for step, value in enumerate(values, start=1):
         sys.stdout.write(f"{step},{value!r}\n")

@@ -91,6 +91,14 @@ class Setting:
         return "--" + self.key.replace("_", "-")
 
 
+def _out_dir(text: str) -> Path:
+    # Path("") is ".", so a blank value would quietly write into the
+    # current directory; "." itself has to be asked for.
+    if not text.strip():
+        raise ConfigError("out_dir must not be blank (use . for the current directory)")
+    return Path(text)
+
+
 SETTINGS = (
     Setting("bin_duration", "bin_duration", int, "SECONDS", "aggregation bin length (default 300)"),
     Setting("p0", "init_var", float, "VAR", "initial estimate variance (default 1e6)"),
@@ -103,7 +111,7 @@ SETTINGS = (
     Setting("evaluate_mode", "evaluate_mode", str, None,
             "score one-step-ahead forecasts (default) or filtered estimates", EVALUATE_MODES),
     Setting("histogram_bins", "histogram_bins", int, "N", "histogram bin count for plots (default 8)"),
-    Setting("out_dir", "out_dir", Path, "DIR", "directory for report.json, trace.csv and the plots"),
+    Setting("out_dir", "out_dir", _out_dir, "DIR", "directory for report.json, trace.csv and the plots"),
 )
 
 _SETTINGS_BY_KEY = {setting.key: setting for setting in SETTINGS}

@@ -23,11 +23,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-from flowcast.errors import EmptyInput, MalformedRow, UnknownVehicleClass
+from flowcast.errors import EmptyInput, MalformedRow, SeriesTooShort, UnknownVehicleClass
 from flowcast.kalman import FilterParams, FilterTrace
 from flowcast.metrics import EvaluationReport
 from flowcast.pcu import ClassifiedCount, parse_vehicle_class
-from flowcast.series import DEFAULT_BIN_DURATION, FlowSeries
+from flowcast.series import FlowSeries
 
 COUNTS_HEADER = ["timestamp", "vehicle_class", "count"]
 SERIES_HEADER = ["bin_start", "pcu"]
@@ -125,7 +125,7 @@ def read_counts_csv(path: str | Path) -> list[ClassifiedCount]:
 
 
 def read_series_csv(path: str | Path) -> FlowSeries:
-    """Parse an aggregated series CSV; bins must be evenly spaced."""
+    """Parse an aggregated series CSV; bins must be evenly spaced, so two rows at least."""
     lines: list[int] = []
     starts: list[int] = []
     values: list[float] = []
@@ -142,7 +142,7 @@ def read_series_csv(path: str | Path) -> FlowSeries:
             raise MalformedRow(line, f"pcu must be finite, got {row[1]!r}")
         values.append(value)
     if len(starts) == 1:
-        return FlowSeries(starts[0], DEFAULT_BIN_DURATION, tuple(values))
+        raise SeriesTooShort(f"{path}: one data row; two are needed to know the bin spacing")
     spacing = starts[1] - starts[0]
     if spacing <= 0:
         raise MalformedRow(lines[1], "bin_start must be strictly increasing")
@@ -204,11 +204,11 @@ def trace_csv_text(series: FlowSeries, trace: FilterTrace, params: FilterParams)
         f"{starts[0]},{_float_repr(series.values[0])},,"
         f"{_float_repr(scale * trace.initial_state.estimate)},,"
     )
-    for i, step in enumerate(trace.steps, start=1):
+    columns = zip(starts[1:], series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations)
+    for start, observed, forecast, estimate, gain, innovation in columns:
         lines.append(
-            f"{starts[i]},{_float_repr(series.values[i])},{_float_repr(step.forecast)},"
-            f"{_float_repr(scale * step.posterior.estimate)},{_float_repr(step.gain)},"
-            f"{_float_repr(step.innovation)}"
+            f"{start},{_float_repr(observed)},{_float_repr(forecast)},"
+            f"{_float_repr(scale * estimate)},{_float_repr(gain)},{_float_repr(innovation)}"
         )
     return "\n".join(lines) + "\n"
 

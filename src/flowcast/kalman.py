@@ -15,6 +15,11 @@ first observation is then absorbed as a measurement (zero innovation, so
 only the variance is conditioned). This gives the first observation the
 same weight as every later one; with transition = 1, process_var = 0 and
 a diffuse p0 the posterior is exactly the running mean of the series.
+
+filter_series runs the whole recursion in one plain-float loop and
+returns a FilterTrace: the seeded state plus parallel columns (forecast,
+posterior estimate and variance, gain, innovation) with one entry per
+observation after the first.
 """
 
 from __future__ import annotations
@@ -77,98 +82,32 @@ class FilterState:
 
 
 @dataclass(frozen=True)
-class FilterStep:
-    """Everything one predict/update cycle produced."""
-
-    prior: FilterState
-    gain: float
-    innovation: float
-    posterior: FilterState
-    forecast: float  # measurement-space one-step-ahead prediction
-
-
-@dataclass(frozen=True)
 class FilterTrace:
-    """Initial state plus one FilterStep per observation after the first."""
+    """The seeded state, then one column entry per observation after the first.
+
+    forecasts are the measurement-space one-step-ahead predictions, each
+    made before its observation was absorbed; estimates and variances are
+    the posterior state (state space); gains and innovations are each
+    update's blend weight and measurement residual.
+    """
 
     initial_state: FilterState
-    steps: tuple[FilterStep, ...]
+    forecasts: tuple[float, ...]
+    estimates: tuple[float, ...]
+    variances: tuple[float, ...]
+    gains: tuple[float, ...]
+    innovations: tuple[float, ...]
 
     @property
-    def forecasts(self) -> tuple[float, ...]:
-        return tuple(s.forecast for s in self.steps)
-
-    @property
-    def posteriors(self) -> tuple[FilterState, ...]:
-        return tuple(s.posterior for s in self.steps)
-
-    @property
-    def gains(self) -> tuple[float, ...]:
-        return tuple(s.gain for s in self.steps)
-
-    @property
-    def innovations(self) -> tuple[float, ...]:
-        return tuple(s.innovation for s in self.steps)
+    def final_state(self) -> FilterState:
+        """Posterior after the last observation, the state forecast_next extends."""
+        return FilterState(self.estimates[-1], self.variances[-1])
 
 
 class NoiseEstimate(NamedTuple):
     process_var: float
     measurement_var: float
     transition: float
-
-
-def init_state(first_observation: float, params: FilterParams, p0: float = DEFAULT_INIT_VAR) -> FilterState:
-    """Initial state from the first observation under prior variance p0."""
-    first_observation = _require_finite("first_observation", first_observation)
-    p0 = _require_finite("p0", p0)
-    if p0 < 0:
-        raise InvalidParams(f"p0 must be >= 0, got {p0}")
-    return FilterState(first_observation / params.measurement_scale, p0)
-
-
-def predict(state: FilterState, params: FilterParams) -> FilterState:
-    """Propagate the state one step through the transition model."""
-    return FilterState(
-        params.transition * state.estimate,
-        params.transition * params.transition * state.variance + params.process_var,
-    )
-
-
-def gain(prior: FilterState, params: FilterParams) -> float:
-    """Blend weight for the next measurement.
-
-    k = p * s / (s^2 * p + r). Zero prior variance and zero measurement
-    noise leave the denominator empty: DegenerateGain.
-    """
-    s = params.measurement_scale
-    denominator = s * s * prior.variance + params.measurement_var
-    if denominator == 0:
-        raise DegenerateGain("prior variance and measurement noise are both zero")
-    return prior.variance * s / denominator
-
-
-def update(prior: FilterState, measurement: float, params: FilterParams) -> FilterStep:
-    """Absorb one measurement into the prior."""
-    measurement = _require_finite("measurement", measurement)
-    s = params.measurement_scale
-    k = gain(prior, params)
-    forecast = s * prior.estimate
-    innovation = measurement - forecast
-    posterior_estimate = prior.estimate + k * innovation
-    # Same quantity as (1 - k*s) * p, written without the cancellation that
-    # form suffers under a diffuse prior. The min() keeps the contraction
-    # invariant p_post <= p_prior safe from division rounding.
-    posterior_variance = min(
-        prior.variance * params.measurement_var / (s * s * prior.variance + params.measurement_var),
-        prior.variance,
-    )
-    return FilterStep(
-        prior=prior,
-        gain=k,
-        innovation=innovation,
-        posterior=FilterState(posterior_estimate, posterior_variance),
-        forecast=forecast,
-    )
 
 
 def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_INIT_VAR) -> FilterTrace:
@@ -182,20 +121,51 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
     values = series.values
     if len(values) < 2:
         raise SeriesTooShort(f"need at least 2 observations, got {len(values)}")
+    first = _require_finite("first_observation", values[0])
+    p0 = _require_finite("p0", p0)
+    if p0 < 0:
+        raise InvalidParams(f"p0 must be >= 0, got {p0}")
 
-    state = init_state(values[0], params, p0)
-    # Zero-innovation absorption of the seed observation: conditions the
-    # variance as if z[0] were measured, without moving the estimate.
-    state = update(state, values[0], params).posterior
+    m_t, s = params.transition, params.measurement_scale
+    q, r = params.process_var, params.measurement_var
+    forecasts, estimates, variances, gains, innovations = [], [], [], [], []
+    # Prior of the seed bin: no prediction step precedes it, and absorbing
+    # z[0] leaves a zero innovation (up to the rounding of z[0] / s), so
+    # only the variance is conditioned.
+    x, p = first / s, p0
+    for z in values:
+        denominator = s * s * p + r
+        if denominator == 0:
+            # A non-finite value met so far is carried in x; it is reported
+            # first, as it would be if every step were checked in turn.
+            _require_finite("estimate", x)
+            _require_finite("measurement", z)
+            raise DegenerateGain("prior variance and measurement noise are both zero")
+        k = p * s / denominator
+        forecast = s * x
+        innovation = z - forecast
+        x = x + k * innovation
+        # Same quantity as (1 - k*s) * p, written without the cancellation that
+        # form suffers under a diffuse prior. The min() keeps the contraction
+        # invariant p_post <= p_prior safe from division rounding.
+        p = min(p * r / denominator, p)
+        forecasts.append(forecast)
+        estimates.append(x)
+        variances.append(p)
+        gains.append(k)
+        innovations.append(innovation)
+        # Prior for the next bin.
+        x, p = m_t * x, m_t * m_t * p + q
 
-    initial_state = state
-    steps = []
-    for z in values[1:]:
-        prior = predict(state, params)
-        step = update(prior, z, params)
-        steps.append(step)
-        state = step.posterior
-    return FilterTrace(initial_state=initial_state, steps=tuple(steps))
+    # Arithmetic on inf or nan gives inf or nan, and a non-finite variance
+    # makes the gain and so the estimate nan: once a measurement or an
+    # overflow makes the state non-finite it stays so, and checking the
+    # last posterior (FilterState raises NonFiniteInput) covers every bin.
+    FilterState(estimates[-1], variances[-1])
+    return FilterTrace(
+        FilterState(estimates[0], variances[0]),
+        *(tuple(column[1:]) for column in (forecasts, estimates, variances, gains, innovations)),
+    )
 
 
 def forecast_next(state: FilterState, params: FilterParams, horizon: int) -> list[float]:

@@ -101,3 +101,30 @@ def correlated_pair(target_r: float, n: int = 24) -> tuple[list[float], list[flo
         for x, y in zip(base_c, ortho)
     ]
     return base, mixed
+
+
+def kalman_filter(
+    values: Sequence[float], p0: float, q: float, r: float, m_t: float = 1.0, s: float = 1.0
+) -> tuple[tuple[float, float], list[tuple[float, float, float, float, float]]]:
+    """Scalar Kalman filter from the textbook equations.
+
+    x' = m_t * x, p' = m_t^2 * p + q; k = p * s / (s^2 * p + r);
+    x = x + k * (z - s * x), p = (1 - k * s) * p. The first value seeds
+    x = z / s under variance p0 and is absorbed as a measurement with no
+    prediction before it. Returns the seeded (estimate, variance) and, for
+    each later value, (forecast, estimate, variance, gain, innovation).
+    """
+
+    def absorb(x, p, z):
+        k = p * s / (s * s * p + r)
+        return x + k * (z - s * x), (1.0 - k * s) * p, k
+
+    x, p, _ = absorb(values[0] / s, p0, values[0])
+    seed = (x, p)
+    steps = []
+    for z in values[1:]:
+        x, p = m_t * x, m_t * m_t * p + q
+        forecast = s * x
+        x, p, k = absorb(x, p, z)
+        steps.append((forecast, x, p, k, z - forecast))
+    return seed, steps

@@ -118,8 +118,8 @@ def test_criterion_04_filter_matches_running_mean_oracle():
             params = FilterParams(process_var=0.0, measurement_var=rng.uniform(0.05, 100.0))
             trace = filter_series(FlowSeries(0, 300, tuple(values)), params, p0=1e12)
             expected = oracles.running_means(values)
-            for state, want in zip(trace.posteriors, expected):
-                assert abs(state.estimate - want) <= 1e-6 * abs(want)
+            for estimate, want in zip(trace.estimates, expected):
+                assert abs(estimate - want) <= 1e-6 * abs(want)
         assert time.perf_counter() - started < 1.0
 
 
@@ -136,24 +136,29 @@ def test_criterion_05_filter_invariants_hold():
             )
             p0 = rng.uniform(0.0, 1e7)
             trace = filter_series(FlowSeries(0, 300, tuple(values)), params, p0=p0)
-            for step in trace.steps:
-                scale = max(1.0, abs(step.prior.estimate), abs(step.posterior.estimate))
-                identity_gap = (step.posterior.estimate - step.prior.estimate) - step.gain * step.innovation
+            previous_estimate, previous_variance = trace.initial_state.estimate, trace.initial_state.variance
+            columns = zip(trace.forecasts, trace.estimates, trace.variances, trace.gains, trace.innovations)
+            for forecast, estimate, variance, gain, innovation in columns:
+                # The prior, derived as the filter derives it.
+                prior_estimate = params.transition * previous_estimate
+                prior_variance = params.transition * params.transition * previous_variance + params.process_var
+                scale = max(1.0, abs(prior_estimate), abs(estimate))
+                identity_gap = (estimate - prior_estimate) - gain * innovation
                 assert abs(identity_gap) <= 1e-12 * scale
-                assert 0.0 <= step.gain <= 1.0
-                assert 0.0 <= step.posterior.variance <= step.prior.variance
-                measurement = step.forecast + step.innovation
-                lo = min(step.prior.estimate, measurement) - 1e-12 * scale
-                hi = max(step.prior.estimate, measurement) + 1e-12 * scale
-                assert lo <= step.posterior.estimate <= hi
+                assert 0.0 <= gain <= 1.0
+                assert 0.0 <= variance <= prior_variance
+                measurement = forecast + innovation
+                lo = min(prior_estimate, measurement) - 1e-12 * scale
+                hi = max(prior_estimate, measurement) + 1e-12 * scale
+                assert lo <= estimate <= hi
+                previous_estimate, previous_variance = estimate, variance
 
             # Causality: rewriting the tail never changes earlier forecasts.
             if n >= 3:
                 split = rng.randint(1, n - 2)
                 altered = values[: split + 1] + [rng.uniform(0.0, 5000.0) for _ in range(n - split - 1)]
                 altered_trace = filter_series(FlowSeries(0, 300, tuple(altered)), params, p0=p0)
-                for i in range(split):
-                    assert trace.steps[i].forecast == altered_trace.steps[i].forecast
+                assert trace.forecasts[:split] == altered_trace.forecasts[:split]
         assert time.perf_counter() - started < 5.0
 
 

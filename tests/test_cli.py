@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, config precedence, round-trips."""
 
+import hashlib
 import json
 import math
 
@@ -182,9 +183,46 @@ class TestConfigPrecedence:
         conf.write_text("granularity=5\n")
         assert run_cli("run", str(counts_csv), "--config", str(conf), "--out-dir", str(tmp_path / "r")) == 1
 
+    def test_blank_out_dir_in_config_is_usage_error(self, tmp_path, counts_csv, monkeypatch, capsys):
+        # Path("") is ".": a blank value must not write into the current directory.
+        conf = tmp_path / "flowcast.conf"
+        conf.write_text("out_dir=\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", str(counts_csv), "--config", str(conf)) == 1
+        assert "out_dir" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_blank_out_dir_flag_is_usage_error(self, tmp_path, counts_csv, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", str(counts_csv), "--out-dir", "") == 1
+        assert "out_dir" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_dot_out_dir_is_the_current_directory(self, tmp_path, counts_csv, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", str(counts_csv), "--out-dir", ".") == 0
+        assert (tmp_path / "report.json").exists()
+
     def test_missing_config_file_is_usage_error(self, tmp_path, counts_csv):
         assert run_cli("run", str(counts_csv), "--config", str(tmp_path / "nope.conf"),
                        "--out-dir", str(tmp_path / "r")) == 1
+
+
+class TestGoldenTrace:
+    # sha256 of trace.csv from `simulate --preset P` then `run` with default
+    # settings. trace.csv holds only pure-Python float arithmetic written
+    # with repr, so it is pinned byte for byte; report.json goes through
+    # numpy reductions and is left to the determinism tests.
+    @pytest.mark.parametrize("preset, digest", [
+        ("paper-like", "8f13b5a432f3887ca1bb33e59e4d2d10e6ee3241d3d1af15c0fd74b8d3830501"),
+        ("steady", "d64b1b9e6121f1cf0e3d03071a866075348aadff7b4afcb3836feb055190495f"),
+        ("volatile", "8c12dc1cc6d70a1200163ab2bf4d0b3b5f235a96e01f71aacd592b1e08852dbe"),
+    ])
+    def test_trace_csv_digest(self, tmp_path, preset, digest):
+        counts = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--preset", preset, "--out", str(counts)) == 0
+        assert run_cli("run", str(counts), "--out-dir", str(tmp_path / "results")) == 0
+        assert hashlib.sha256((tmp_path / "results" / "trace.csv").read_bytes()).hexdigest() == digest
 
 
 class TestUsage:

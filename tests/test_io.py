@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from flowcast.config import RunConfig, load_config_file, resolve_config
-from flowcast.errors import ConfigError, EmptyInput, MalformedRow, UnknownVehicleClass
+from flowcast.errors import ConfigError, EmptyInput, MalformedRow, SeriesTooShort, UnknownVehicleClass
 from flowcast.io import (
     atomic_write_text,
     read_counts_csv,
@@ -127,6 +127,12 @@ class TestSeriesCsv:
         with pytest.raises(MalformedRow):
             read_series_csv(path)
 
+    def test_one_row_is_too_short(self, tmp_path):
+        # One row gives no bin spacing; there is no default to fall back on.
+        path = write(tmp_path, "series.csv", "bin_start,pcu\n0,1.0\n")
+        with pytest.raises(SeriesTooShort, match="two are needed"):
+            read_series_csv(path)
+
     def test_non_finite_pcu_rejected(self, tmp_path):
         path = write(tmp_path, "series.csv", "bin_start,pcu\n0,inf\n")
         with pytest.raises(MalformedRow):
@@ -210,8 +216,8 @@ class TestReportWriting:
         assert float(first[1]) == 100.0
         assert first[2] == "" and first[4] == "" and first[5] == ""
         second = lines[2].split(",")
-        assert float(second[2]) == trace.steps[0].forecast
-        assert float(second[4]) == trace.steps[0].gain
+        assert float(second[2]) == trace.forecasts[0]
+        assert float(second[4]) == trace.gains[0]
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         (tmp_path / "report.json").mkdir()

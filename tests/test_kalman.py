@@ -7,20 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowcast.errors import DegenerateGain, InvalidParams, NonFiniteInput, SeriesTooShort
-from flowcast.kalman import (
-    FilterParams,
-    FilterState,
-    estimate_noise,
-    filter_series,
-    forecast_next,
-    gain,
-    init_state,
-    predict,
-    update,
-)
+from flowcast.kalman import FilterParams, FilterState, estimate_noise, filter_series, forecast_next
 from flowcast.series import FlowSeries
 
-from oracles import running_means, sample_variance
+from oracles import kalman_filter, running_means, sample_variance
 
 
 def params(q=0.0, r=1.0, m_t=1.0, m_m=1.0):
@@ -31,99 +21,152 @@ def series(*values):
     return FlowSeries(0, 300, tuple(float(v) for v in values))
 
 
+def columns(trace):
+    return trace.forecasts, trace.estimates, trace.variances, trace.gains, trace.innovations
+
+
+def steps(trace, p):
+    """Per-step (prior estimate, prior variance, forecast, estimate, variance, gain, innovation).
+
+    The prior is derived as the filter derives it: m_t times the previous
+    estimate, and m_t^2 times the previous variance plus q.
+    """
+    previous = trace.initial_state.estimate, trace.initial_state.variance
+    for forecast, estimate, variance, k, innovation in zip(*columns(trace)):
+        prior = p.transition * previous[0], p.transition * p.transition * previous[1] + p.process_var
+        yield (*prior, forecast, estimate, variance, k, innovation)
+        previous = estimate, variance
+
+
 class TestInitState:
+    # The seeded state is what absorbing the first value leaves behind.
     def test_mean_flow_sample(self):
-        state = init_state(488.33, params(), p0=1e6)
-        assert state.estimate == 488.33
-        assert state.variance == 1e6
+        trace = filter_series(series(488.33, 500), params(r=1.0), p0=1.0)
+        assert trace.initial_state == FilterState(488.33, 0.5)
 
     def test_zero(self):
-        state = init_state(0.0, params(), p0=0.0)
-        assert state == FilterState(0.0, 0.0)
+        trace = filter_series(series(0, 0), params(r=1.0), p0=0.0)
+        assert trace.initial_state == FilterState(0.0, 0.0)
 
     def test_measurement_inversion(self):
-        state = init_state(10.0, params(m_m=2.0), p0=1.0)
-        assert state == FilterState(5.0, 1.0)
+        trace = filter_series(series(10, 10), params(r=4.0, m_m=2.0), p0=1.0)
+        assert trace.initial_state == FilterState(5.0, 0.5)
 
     def test_rejects_non_finite(self):
+        for first in (float("nan"), float("inf")):
+            for p0 in (1.0, -1.0):  # checked before p0 is
+                with pytest.raises(NonFiniteInput):
+                    filter_series(series(first, 1), params(), p0=p0)
+
+    @pytest.mark.parametrize("p0", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_p0(self, p0):
         with pytest.raises(NonFiniteInput):
-            init_state(float("nan"), params(), p0=1.0)
+            filter_series(series(1, 2), params(), p0=p0)
 
     def test_rejects_negative_p0(self):
         with pytest.raises(InvalidParams):
-            init_state(1.0, params(), p0=-1.0)
+            filter_series(series(1, 2), params(), p0=-1.0)
 
 
 class TestPredict:
     def test_identity_transition_adds_process_noise(self):
-        assert predict(FilterState(100.0, 4.0), params(q=1.0)) == FilterState(100.0, 5.0)
+        # Seed p = 1/2; prior p = 1/2 + q = 3 shows in the gain 3 / (3 + r).
+        trace = filter_series(series(100, 110), params(q=2.5, r=1.0), p0=1.0)
+        assert trace.forecasts == (100.0,)
+        assert trace.gains == (0.75,)
 
     def test_growth_transition(self):
-        prior = predict(FilterState(100.0, 4.0), params(q=0.0, m_t=1.02))
-        assert prior.estimate == pytest.approx(102.0, rel=1e-12)
-        assert prior.variance == pytest.approx(4.1616, rel=1e-12)
+        # Seed p = 1/2; prior x = 2 * 100, p = 2^2 * 1/2 + 1 = 3, so k = 3/4.
+        trace = filter_series(series(100, 240), params(q=1.0, r=1.0, m_t=2.0), p0=1.0)
+        assert columns(trace) == ((200.0,), (230.0,), (0.75,), (0.75,), (40.0,))
 
     def test_zero_fixed_point(self):
-        assert predict(FilterState(0.0, 0.0), params(q=0.0, m_t=7.0)) == FilterState(0.0, 0.0)
+        trace = filter_series(series(0, 0, 0), params(q=0.0, m_t=7.0), p0=0.0)
+        assert columns(trace) == ((0.0, 0.0),) * 5
+
+    def test_variance_overflow(self):
+        with pytest.raises(NonFiniteInput):
+            filter_series(series(100, 110, 120), params(q=1.0, r=1.0, m_t=1e200))
 
 
 class TestGain:
     def test_equal_variances_split_evenly(self):
-        assert gain(FilterState(0.0, 1.0), params(r=1.0)) == 0.5
+        # Seed k = 3/4 leaves p = 3/4; prior p = 3/4 + 1/4 equals r.
+        trace = filter_series(series(100, 110), params(q=0.25, r=1.0), p0=3.0)
+        assert trace.gains == (0.5,)
 
     def test_exact_measurement_dominates(self):
-        assert gain(FilterState(0.0, 1.0), params(q=1.0, r=0.0)) == 1.0
+        trace = filter_series(series(100, 110), params(q=1.0, r=0.0), p0=1.0)
+        assert trace.gains == (1.0,)
+        assert trace.estimates == (110.0,)
+        assert trace.variances == (0.0,)
 
     def test_exact_prior_dominates(self):
-        assert gain(FilterState(0.0, 0.0), params(r=1.0)) == 0.0
+        trace = filter_series(series(100, 110), params(q=0.0, r=1.0), p0=0.0)
+        assert trace.gains == (0.0,)
 
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateGain):
-            gain(FilterState(0.0, 0.0), params(q=1.0, r=0.0))
+            filter_series(series(100, 110), params(q=1.0, r=0.0), p0=0.0)
+
+    def test_non_finite_measurement_reported_before_degenerate_denominator(self):
+        # r = 0 and s^2 * q underflows to 0, so the second step has no gain;
+        # a non-finite measurement there is still what gets reported.
+        p = params(q=1e-10, r=0.0, m_m=1e-160)
+        with pytest.raises(DegenerateGain):
+            filter_series(series(1, 2), p, p0=1e6)
+        with pytest.raises(NonFiniteInput):
+            filter_series(series(1, float("nan")), p, p0=1e6)
 
 
 class TestUpdate:
     def test_even_blend(self):
-        step = update(FilterState(100.0, 1.0), 110.0, params(r=1.0))
-        assert step.gain == 0.5
-        assert step.posterior.estimate == 105.0
-        assert step.posterior.variance == 0.5
-        assert step.forecast == 100.0
-        assert step.innovation == 10.0
+        trace = filter_series(series(100, 110), params(q=0.5, r=1.0), p0=1.0)
+        assert columns(trace) == ((100.0,), (105.0,), (0.5,), (0.5,), (10.0,))
+        assert trace.final_state == FilterState(105.0, 0.5)
 
     def test_certain_prior_ignores_measurement(self):
-        step = update(FilterState(100.0, 0.0), 110.0, params(r=1.0))
-        assert step.gain == 0.0
-        assert step.posterior.estimate == 100.0
+        trace = filter_series(series(100, 110), params(q=0.0, r=1.0), p0=0.0)
+        assert trace.estimates == (100.0,)
+        assert trace.innovations == (10.0,)
+
+    def test_rounding_never_raises_the_variance(self):
+        # p * r / (p + r) rounds above p for this p0; the update keeps p.
+        p0 = 1.9081128851953353e-20
+        trace = filter_series(series(0, 0), params(q=0.0, r=3.0), p0=p0)
+        assert trace.initial_state.variance == p0
+        assert trace.variances == (p0,)
 
     def test_zero_innovation_keeps_estimate(self):
-        step = update(FilterState(100.0, 1.0), 100.0, params(r=3.7))
-        assert step.innovation == 0.0
-        assert step.posterior.estimate == 100.0
+        trace = filter_series(series(100, 100), params(r=3.7))
+        assert trace.innovations == (0.0,)
+        assert trace.estimates == (100.0,)
 
     def test_rejects_non_finite_measurement(self):
-        with pytest.raises(NonFiniteInput):
-            update(FilterState(0.0, 1.0), float("inf"), params())
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(NonFiniteInput):
+                filter_series(series(0, bad), params(), p0=1.0)
+            with pytest.raises(NonFiniteInput):
+                filter_series(series(0, bad, 1, 2), params(), p0=1.0)
 
 
 class TestFilterSeries:
     def test_constant_series_is_fixed_point(self):
         trace = filter_series(series(100, 100, 100, 100), params(q=0.0, r=1.0), p0=1e6)
-        for step in trace.steps:
-            assert step.posterior.estimate == pytest.approx(100.0, rel=1e-12)
+        for estimate in trace.estimates:
+            assert estimate == pytest.approx(100.0, rel=1e-12)
 
     def test_tiny_measurement_noise_averages_seed_and_next(self):
         # The seed observation is absorbed with full measurement weight, so
         # with r -> 0 both observations are treated as near-exact and the
         # posterior lands on their average rather than the newer one.
         trace = filter_series(series(100, 110), params(q=0.0, r=1e-9), p0=1e6)
-        assert trace.steps[-1].posterior.estimate == pytest.approx(105.0, rel=1e-9)
+        assert trace.final_state.estimate == pytest.approx(105.0, rel=1e-9)
 
     def test_diffuse_prior_recovers_running_means(self):
         trace = filter_series(series(100, 110, 120), params(q=0.0, r=1.0), p0=1e12)
         expected = running_means([100.0, 110.0, 120.0])
-        got = [s.posterior.estimate for s in trace.steps]
-        assert got == pytest.approx(expected, rel=1e-9)
+        assert list(trace.estimates) == pytest.approx(expected, rel=1e-9)
 
     def test_running_mean_equivalence_randomized(self):
         rng = random.Random(2024)
@@ -132,8 +175,27 @@ class TestFilterSeries:
             values = [rng.uniform(1.0, 1000.0) for _ in range(n)]
             trace = filter_series(series(*values), params(q=0.0, r=rng.uniform(0.1, 50.0)), p0=1e12)
             expected = running_means(values)
-            for got, want in zip(trace.posteriors, expected):
-                assert got.estimate == pytest.approx(want, rel=1e-6)
+            for got, want in zip(trace.estimates, expected):
+                assert got == pytest.approx(want, rel=1e-6)
+
+    def test_matches_textbook_oracle_randomized(self):
+        # The oracle's (1 - k*s) * p variance loses up to about
+        # eps * s^2 * p0 / r relative to the filter's form, under 1e-10 with
+        # these ranges; innovations can cancel, so they are held to the
+        # forecast's scale instead.
+        rng = random.Random(2025)
+        for _ in range(200):
+            n = rng.randint(2, 48)
+            values = [rng.uniform(0.0, 1000.0) for _ in range(n)]
+            q, r = rng.uniform(0.0, 100.0), rng.uniform(1.0, 100.0)
+            m_t, m_m, p0 = rng.uniform(0.9, 1.1), rng.uniform(0.5, 2.0), rng.uniform(0.0, 1e5)
+            trace = filter_series(series(*values), params(q=q, r=r, m_t=m_t, m_m=m_m), p0=p0)
+            seed, want = kalman_filter(values, p0, q, r, m_t, m_m)
+            got = [(trace.initial_state.estimate, trace.initial_state.variance), *zip(*columns(trace))]
+            assert len(got) == len(want) + 1
+            for got_row, want_row in zip(got, [seed, *want]):
+                assert got_row[:4] == pytest.approx(want_row[:4], rel=1e-9)
+                assert got_row[4:] == pytest.approx(want_row[4:], rel=1e-9, abs=1e-9 * abs(want_row[0]))
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -141,7 +203,7 @@ class TestFilterSeries:
 
     def test_trace_length_is_series_length_minus_one(self):
         trace = filter_series(series(1, 2, 3, 4, 5), params())
-        assert len(trace.steps) == 4
+        assert [len(column) for column in columns(trace)] == [4] * 5
 
     def test_forecasts_are_causal(self):
         base = [100.0, 120.0, 90.0, 130.0, 105.0, 95.0]
@@ -150,8 +212,7 @@ class TestFilterSeries:
         trace_a = filter_series(series(*base), p)
         trace_b = filter_series(series(*changed), p)
         # Forecast at step i only uses observations before i.
-        for i in range(4):
-            assert trace_a.steps[i].forecast == trace_b.steps[i].forecast
+        assert trace_a.forecasts[:4] == trace_b.forecasts[:4]
 
 
 class TestForecastNext:
@@ -227,18 +288,19 @@ flow_values = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(flow_values, positive_floats, positive_floats, positive_floats)
 def test_step_invariants(values, q, r, p0):
-    trace = filter_series(series(*values), params(q=q, r=r), p0=p0)
-    for step in trace.steps:
-        scale = max(1.0, abs(step.prior.estimate), abs(step.posterior.estimate))
+    p = params(q=q, r=r)
+    trace = filter_series(series(*values), p, p0=p0)
+    for prior_estimate, prior_variance, forecast, estimate, variance, k, innovation in steps(trace, p):
+        scale = max(1.0, abs(prior_estimate), abs(estimate))
         # Update identity, gain bounds, variance behavior.
-        assert abs((step.posterior.estimate - step.prior.estimate) - step.gain * step.innovation) <= 1e-12 * scale
-        assert 0.0 <= step.gain <= 1.0
-        assert 0.0 <= step.posterior.variance <= step.prior.variance
+        assert abs((estimate - prior_estimate) - k * innovation) <= 1e-12 * scale
+        assert 0.0 <= k <= 1.0
+        assert 0.0 <= variance <= prior_variance
         # Convexity: the posterior sits between prior and measurement.
-        measurement = step.forecast + step.innovation
-        lo = min(step.prior.estimate, measurement) - 1e-12 * scale
-        hi = max(step.prior.estimate, measurement) + 1e-12 * scale
-        assert lo <= step.posterior.estimate <= hi
+        measurement = forecast + innovation
+        lo = min(prior_estimate, measurement) - 1e-12 * scale
+        hi = max(prior_estimate, measurement) + 1e-12 * scale
+        assert lo <= estimate <= hi
 
 
 @settings(max_examples=100, deadline=None)
@@ -246,8 +308,8 @@ def test_step_invariants(values, q, r, p0):
 def test_more_measurement_noise_lowers_every_gain(values, q, r):
     low_noise = filter_series(series(*values), params(q=q, r=r), p0=1e6)
     high_noise = filter_series(series(*values), params(q=q, r=r * 10.0), p0=1e6)
-    for lo_step, hi_step in zip(low_noise.steps, high_noise.steps):
-        assert hi_step.gain < lo_step.gain
+    for lo_gain, hi_gain in zip(low_noise.gains, high_noise.gains):
+        assert hi_gain < lo_gain
 
 
 def test_vanishing_measurement_noise_drives_gain_to_one():
@@ -255,5 +317,5 @@ def test_vanishing_measurement_noise_drives_gain_to_one():
     for r in (1.0, 1e-3, 1e-6, 1e-9):
         trace = filter_series(series(*values), params(q=1.0, r=r), p0=1e6)
         if r <= 1e-9:
-            for step in trace.steps:
-                assert step.gain == pytest.approx(1.0, abs=1e-6)
+            for k in trace.gains:
+                assert k == pytest.approx(1.0, abs=1e-6)
