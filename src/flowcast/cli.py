@@ -116,24 +116,24 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         scenario = dataclasses.replace(scenario, **overrides)
     except InvalidScenario as exc:
         raise ConfigError(str(exc)) from None
-    records = generate(scenario)
+    counts = generate(scenario)
     if args.out:
-        write_counts_csv(records, args.out)
-        _note(f"wrote {len(records)} records over {scenario.bin_count} bins to {args.out}")
+        write_counts_csv(counts, args.out)
+        _note(f"wrote {len(counts)} records over {scenario.bin_count} bins to {args.out}")
     else:
-        sys.stdout.write(counts_csv_text(records))
+        sys.stdout.write(counts_csv_text(counts))
 
 
 def _cmd_convert(args: argparse.Namespace) -> None:
     config = _resolve_config(args)
-    records = read_counts_csv(args.input)
+    counts = read_counts_csv(args.input)
     start_time = None
     if args.start_time is not None:
         try:
             start_time = parse_timestamp(args.start_time)
         except DataError as exc:
             raise ConfigError(f"--start-time: {exc}") from None
-    series = aggregate(records, config.pcu_table(), config.bin_duration, start_time)
+    series = aggregate(counts, config.pcu_table(), config.bin_duration, start_time)
     if args.out:
         write_series_csv(series, args.out)
         _note(f"wrote {len(series)} bins to {args.out}")
@@ -187,8 +187,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> None:
     config = _resolve_config(args)
-    records = read_counts_csv(args.input)
-    series = aggregate(records, config.pcu_table(), config.bin_duration)
+    counts = read_counts_csv(args.input)
+    series = aggregate(counts, config.pcu_table(), config.bin_duration)
     _evaluate_series(series, config)
 
 

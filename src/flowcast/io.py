@@ -19,14 +19,18 @@ import csv
 import json
 import math
 import os
+from array import array
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterator
+
+import numpy as np
 
 from flowcast.errors import EmptyInput, MalformedRow, SeriesTooShort, UnknownVehicleClass
 from flowcast.kalman import FilterParams, FilterTrace
 from flowcast.metrics import EvaluationReport
-from flowcast.pcu import ClassifiedCount, parse_vehicle_class
+from flowcast.pcu import VEHICLE_CLASSES, ClassifiedCounts, parse_vehicle_class
 from flowcast.series import FlowSeries
 
 COUNTS_HEADER = ["timestamp", "vehicle_class", "count"]
@@ -82,46 +86,93 @@ def parse_timestamp(text: str, line: int = 0) -> int:
     return math.floor(moment.timestamp())
 
 
-def _read_rows(path: str | Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
+# The text is split into lines a chunk at a time, so the whole file is
+# never held as a list of lines. Each chunk ends just after a "\n", where
+# str.splitlines always splits, so the lines are those of text.splitlines().
+_CHUNK_CHARS = 1 << 20
+
+
+def _chunks(text: str) -> Iterator[str]:
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each non-blank row after the header.
+
+    Rows are parsed as they are consumed, so a row the csv module cannot
+    read is reported only when it is reached.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise MalformedRow(0, "file is not valid UTF-8") from None
+    numbered = enumerate(csv.reader(chain.from_iterable(map(str.splitlines, _chunks(text)))), start=1)
     try:
-        rows = [(line, row) for line, row in enumerate(csv.reader(text.splitlines()), start=1) if row]
+        for header_line, header in numbered:
+            if header:
+                break
+        else:
+            raise EmptyInput(f"{path}: file is empty")
+        if [h.strip().lower() for h in header] != expected_header:
+            raise MalformedRow(header_line, f"expected header {','.join(expected_header)!r}")
+        empty = True
+        for line, row in numbered:
+            if row:
+                empty = False
+                yield line, row
     except csv.Error as exc:
         raise MalformedRow(0, f"unreadable CSV: {exc}") from None
-    if not rows:
-        raise EmptyInput(f"{path}: file is empty")
-    header_line, header = rows[0]
-    if [h.strip().lower() for h in header] != expected_header:
-        raise MalformedRow(header_line, f"expected header {','.join(expected_header)!r}")
-    body = rows[1:]
-    if not body:
+    if empty:
         raise EmptyInput(f"{path}: no data rows")
-    return body
 
 
-def read_counts_csv(path: str | Path) -> list[ClassifiedCount]:
-    """Parse a classified-count CSV, preserving row order."""
-    records = []
+def read_counts_csv(path: str | Path) -> ClassifiedCounts:
+    """Parse a classified-count CSV, preserving row order.
+
+    Timestamps and counts must fit in a signed 64-bit integer.
+    """
+    timestamps = array("q")
+    classes = array("b")
+    counts = array("q")
+    class_index: dict[str, int] = {}  # raw label -> index into VEHICLE_CLASSES
     for line, row in _read_rows(path, COUNTS_HEADER):
         if len(row) != 3:
             raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
-        timestamp = parse_timestamp(row[0], line)
         try:
-            vehicle_class = parse_vehicle_class(row[1])
-        except UnknownVehicleClass as exc:
-            raise UnknownVehicleClass(exc.label, line) from None
+            timestamp = int(row[0])
+        except ValueError:
+            timestamp = parse_timestamp(row[0], line)
+        try:
+            timestamps.append(timestamp)
+        except OverflowError:
+            raise MalformedRow(line, f"timestamp {row[0]!r} is outside the int64 range") from None
+        index = class_index.get(row[1])
+        if index is None:
+            try:
+                index = class_index[row[1]] = VEHICLE_CLASSES.index(parse_vehicle_class(row[1]))
+            except UnknownVehicleClass as exc:
+                raise UnknownVehicleClass(exc.label, line) from None
+        classes.append(index)
         try:
             count = int(row[2].strip())
         except ValueError:
             raise MalformedRow(line, f"count {row[2]!r} is not an integer") from None
         if count < 0:
             raise MalformedRow(line, f"count must be >= 0, got {count}")
-        records.append(ClassifiedCount(timestamp, vehicle_class, count))
-    return records
+        try:
+            counts.append(count)
+        except OverflowError:
+            raise MalformedRow(line, f"count {row[2]!r} is above the int64 maximum") from None
+    return ClassifiedCounts(
+        np.frombuffer(timestamps, dtype=np.int64),
+        np.frombuffer(classes, dtype=np.int8),
+        np.frombuffer(counts, dtype=np.int64),
+    )
 
 
 def read_series_csv(path: str | Path) -> FlowSeries:
@@ -171,14 +222,14 @@ def sniff_input_kind(path: str | Path) -> str:
     raise MalformedRow(1, f"unrecognized header {','.join(header)!r}")
 
 
-def counts_csv_text(records: Iterable[ClassifiedCount]) -> str:
+def counts_csv_text(counts: ClassifiedCounts) -> str:
     lines = [",".join(COUNTS_HEADER)]
-    lines += [f"{r.timestamp},{r.vehicle_class.label},{r.count}" for r in records]
+    lines += [f"{timestamp},{vehicle_class.label},{count}" for timestamp, vehicle_class, count in counts.rows()]
     return "\n".join(lines) + "\n"
 
 
-def write_counts_csv(records: Iterable[ClassifiedCount], path: str | Path) -> None:
-    atomic_write_text(Path(path), counts_csv_text(records))
+def write_counts_csv(counts: ClassifiedCounts, path: str | Path) -> None:
+    atomic_write_text(Path(path), counts_csv_text(counts))
 
 
 def series_csv_text(series: FlowSeries) -> str:

@@ -131,13 +131,24 @@ def rmspe(forecast: Sequence[float], observed: Sequence[float], denominator: str
     return float(100.0 * math.sqrt(float(np.mean(errors * errors))))
 
 
+def _centered(values: np.ndarray) -> np.ndarray:
+    """Deviations from the mean, centred a second time.
+
+    The mean carries a rounding error, so a constant series whose mean
+    rounds off leaves equal non-zero deviations; the second pass removes
+    them, and such a series then reads as constant.
+    """
+    deviations = values - values.mean()
+    return deviations - deviations.mean()
+
+
 def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     """Sample Pearson correlation, clamped into [-1, 1]."""
     x, y = _paired_arrays(a, b)
     if x.size < 2:
         raise LengthMismatch("correlation needs at least 2 pairs")
-    xc = x - x.mean()
-    yc = y - y.mean()
+    xc = _centered(x)
+    yc = _centered(y)
     sxx = float(np.dot(xc, xc))
     syy = float(np.dot(yc, yc))
     if sxx == 0.0 or syy == 0.0:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from flowcast.errors import NegativeCount, UnknownVehicleClass
 
@@ -58,6 +60,10 @@ def _normalize(label: str) -> str:
     return "".join(ch for ch in label.strip().lower() if ch not in " -_")
 
 
+# A class's index in a ClassifiedCounts classes column is its position here.
+VEHICLE_CLASSES = tuple(VehicleClass)
+_CLASS_INDEX = {c: i for i, c in enumerate(VEHICLE_CLASSES)}
+
 _LOOKUP = {_normalize(c.label): c for c in VehicleClass}
 _LOOKUP.update({_normalize(alias): c for alias, c in _ALIASES.items()})
 
@@ -95,20 +101,74 @@ class PcuTable:
         return self.factors[vehicle_class]
 
 
-@dataclass(frozen=True)
-class ClassifiedCount:
-    """One timestamped count of a single vehicle class.
+@dataclass(frozen=True, eq=False)
+class ClassifiedCounts:
+    """Timestamped counts of single vehicle classes, as three columns in row order.
 
-    timestamp is in whole seconds since the epoch.
+    timestamps are whole seconds since the epoch and counts are >= 0, both
+    int64; classes index VEHICLE_CLASSES (VehicleClass order), as int8.
     """
 
-    timestamp: int
-    vehicle_class: VehicleClass
-    count: int
+    timestamps: np.ndarray
+    classes: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        if self.count < 0:
-            raise NegativeCount(f"count must be >= 0, got {self.count}")
+        timestamps = _int_column("timestamps", self.timestamps, np.int64)
+        classes = _int_column("classes", self.classes, np.int8)
+        counts = _int_column("counts", self.counts, np.int64)
+        if not len(timestamps) == len(classes) == len(counts):
+            raise ValueError(
+                f"columns differ in length: {len(timestamps)} timestamps, {len(classes)} classes, {len(counts)} counts"
+            )
+        bad = np.flatnonzero((classes < 0) | (classes >= len(VEHICLE_CLASSES)))
+        if bad.size:
+            raise ValueError(f"class index must be in [0, {len(VEHICLE_CLASSES)}), got {classes[bad[0]]} at row {bad[0]}")
+        bad = np.flatnonzero(counts < 0)
+        if bad.size:
+            raise NegativeCount(f"count must be >= 0, got {counts[bad[0]]} at row {bad[0]}")
+        object.__setattr__(self, "timestamps", timestamps)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[int, VehicleClass, int]]) -> "ClassifiedCounts":
+        """Columns from (timestamp, vehicle class, count) rows."""
+        rows = list(rows)
+        return cls(
+            [timestamp for timestamp, _, _ in rows],
+            [_CLASS_INDEX[vehicle_class] for _, vehicle_class, _ in rows],
+            [count for _, _, count in rows],
+        )
+
+    def rows(self) -> Iterator[tuple[int, VehicleClass, int]]:
+        """(timestamp, vehicle class, count) per row, as Python objects."""
+        classes = (VEHICLE_CLASSES[i] for i in self.classes.tolist())
+        return zip(self.timestamps.tolist(), classes, self.counts.tolist())
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassifiedCounts):
+            return NotImplemented
+        return (
+            np.array_equal(self.timestamps, other.timestamps)
+            and np.array_equal(self.classes, other.classes)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+
+def _int_column(name: str, values, dtype) -> np.ndarray:
+    column = np.asarray(values)
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
+    if column.size and column.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {column.dtype}")
+    limits = np.iinfo(dtype)
+    if column.size and (column.min() < limits.min or column.max() > limits.max):
+        raise ValueError(f"{name} must lie in [{limits.min}, {limits.max}]")
+    return column.astype(dtype, copy=False)
 
 
 def to_pcu(table: PcuTable, counts: Mapping[VehicleClass, int]) -> float:

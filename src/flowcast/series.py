@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+
+import numpy as np
 
 from flowcast.errors import DataError, EmptyInput, RecordBeforeStart
-from flowcast.pcu import ClassifiedCount, PcuTable
+from flowcast.pcu import VEHICLE_CLASSES, ClassifiedCounts, PcuTable
 
 DEFAULT_BIN_DURATION = 300
 
 # Bins are zero-filled, so a pathological timestamp span would otherwise
 # allocate without bound.
 MAX_BINS = 1_000_000
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class SeriesIssue:
 
 
 def aggregate(
-    records: Iterable[ClassifiedCount],
+    counts: ClassifiedCounts,
     table: PcuTable,
     bin_duration: int = DEFAULT_BIN_DURATION,
     start_time: int | None = None,
@@ -66,27 +69,36 @@ def aggregate(
     start_time defaults to the earliest record timestamp truncated down to
     a whole bin boundary. Bins run from there through the latest record.
     An explicit start_time that excludes a record raises RecordBeforeStart.
+    Each bin adds its records' PCU in row order.
     """
-    records = list(records)
-    if not records:
+    if len(counts) == 0:
         raise EmptyInput("no records to aggregate")
     if bin_duration <= 0:
         raise ValueError(f"bin_duration must be > 0, got {bin_duration}")
 
-    earliest = min(r.timestamp for r in records)
-    latest = max(r.timestamp for r in records)
+    earliest = int(counts.timestamps.min())
+    latest = int(counts.timestamps.max())
     if start_time is None:
         start_time = (earliest // bin_duration) * bin_duration
     elif earliest < start_time:
         raise RecordBeforeStart(earliest)
 
-    n_bins = (latest - start_time) // bin_duration + 1
+    span = latest - start_time
+    n_bins = span // bin_duration + 1
     if n_bins > MAX_BINS:
         raise DataError(f"timestamps span {n_bins} bins, more than the {MAX_BINS} supported")
-    values = [0.0] * n_bins
-    for r in records:
-        values[(r.timestamp - start_time) // bin_duration] += r.count * table.factor(r.vehicle_class)
-    return FlowSeries(start_time, bin_duration, tuple(values))
+    if start_time >= _INT64_MIN and span < _INT64_MAX:
+        # Every offset fits in int64; a bin wider than the span holds every record.
+        bin_index = (counts.timestamps - start_time) // min(bin_duration, span + 1)
+    else:
+        # Offsets overflow int64: only bins wider than about 9e12 s, or
+        # timestamps within a bin of the int64 minimum, get here.
+        offsets = ((t - start_time) // bin_duration for t in counts.timestamps.tolist())
+        bin_index = np.fromiter(offsets, dtype=np.int64, count=len(counts))
+    factors = np.array([table.factor(c) for c in VEHICLE_CLASSES])
+    # bincount adds the weights in row order, as a per-record loop would.
+    values = np.bincount(bin_index, weights=counts.counts * factors[counts.classes], minlength=n_bins)
+    return FlowSeries(start_time, bin_duration, values.tolist())
 
 
 def validate_series(series: FlowSeries) -> list[SeriesIssue]:

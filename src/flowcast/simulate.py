@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from flowcast.errors import InvalidScenario, UnknownPreset
-from flowcast.pcu import ClassifiedCount, PcuTable, VehicleClass
+from flowcast.pcu import ClassifiedCounts, PcuTable, VehicleClass
 
 # Rickshaw-heavy urban mix; illustrative, not calibrated to any survey.
 DEFAULT_CLASS_MIX: Mapping[VehicleClass, float] = {
@@ -113,12 +113,12 @@ def _apportion(target_pcu: float, mix: Mapping[VehicleClass, float], table: PcuT
     return counts
 
 
-def generate(scenario: Scenario) -> list[ClassifiedCount]:
-    """Deterministic classified counts for the scenario, one record per
+def generate(scenario: Scenario) -> ClassifiedCounts:
+    """Deterministic classified counts for the scenario, one row per
     class per bin, timestamped at the bin start."""
     rng = random.Random(scenario.seed)
     table = PcuTable.default()
-    records: list[ClassifiedCount] = []
+    rows: list[tuple[int, VehicleClass, int]] = []
     for i in range(scenario.bin_count):
         noise_factor = max(0.0, 1.0 + scenario.noise_cv * _standard_normal(rng))
         level = max(0.0, scenario.base_flow + scenario.trend * i)
@@ -128,8 +128,8 @@ def generate(scenario: Scenario) -> list[ClassifiedCount]:
         for cls in VehicleClass:
             count = counts.get(cls, 0)
             if count > 0:
-                records.append(ClassifiedCount(timestamp, cls, count))
-    return records
+                rows.append((timestamp, cls, count))
+    return ClassifiedCounts.from_rows(rows)
 
 
 def presets() -> dict[str, Scenario]:

@@ -7,7 +7,9 @@ and math.fsum, on purpose sharing no code path with the package.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import re
+from datetime import datetime, timedelta, timezone
+from typing import Mapping, Sequence
 
 
 def running_means(values: Sequence[float]) -> list[float]:
@@ -128,3 +130,61 @@ def kalman_filter(
         x, p, k = absorb(x, p, z)
         steps.append((forecast, x, p, k, z - forecast))
     return seed, steps
+
+
+# Normalized label (lower case; spaces, hyphens and underscores removed)
+# to canonical label: the nine classes and the aliases car and rickshaw.
+_COUNT_LABELS = {
+    "bus": "bus",
+    "truck": "truck",
+    "cng": "cng",
+    "privatecar": "private_car",
+    "car": "private_car",
+    "commercialvehicle": "commercial_vehicle",
+    "utility": "utility",
+    "motorcycle": "motorcycle",
+    "bicycle": "bicycle",
+    "cyclerickshaw": "cycle_rickshaw",
+    "rickshaw": "cycle_rickshaw",
+}
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _epoch_seconds(text: str) -> int:
+    text = text.strip()
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        return int(text)
+    if text.endswith("Z"):
+        text = text[:-1] + "+00:00"
+    moment = datetime.fromisoformat(text)
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    assert moment.utcoffset() == timedelta(0), "only UTC timestamps are valid"
+    return (moment - _EPOCH) // timedelta(seconds=1)
+
+
+def aggregate_counts(
+    text: str, factors: Mapping[str, float], bin_duration: int, start_time: int | None = None
+) -> tuple[int, list[float]]:
+    """Bins of PCU from the text of a valid counts CSV with unquoted fields.
+
+    factors maps each canonical class label to its PCU factor. Every row
+    adds count * factor to the half-open bin [start + i*bin, start +
+    (i+1)*bin) that holds its timestamp, in file order; start defaults to
+    the earliest timestamp rounded down to a multiple of the bin length.
+    Returns (start, bin values through the latest timestamp).
+    """
+    lines = [line for line in text.lstrip("\ufeff").splitlines() if line]
+    assert lines[0].lower() == "timestamp,vehicle_class,count"
+    rows = []
+    for line in lines[1:]:
+        stamp, label, count = line.split(",")
+        key = label.lower().replace(" ", "").replace("-", "").replace("_", "")
+        rows.append((_epoch_seconds(stamp), factors[_COUNT_LABELS[key]], int(count)))
+    stamps = [stamp for stamp, _, _ in rows]
+    if start_time is None:
+        start_time = min(stamps) - min(stamps) % bin_duration  # % is never negative here
+    values = [0.0] * ((max(stamps) - start_time) // bin_duration + 1)
+    for stamp, factor, count in rows:
+        values[(stamp - start_time) // bin_duration] += count * factor
+    return start_time, values

@@ -3,9 +3,12 @@
 import json
 import math
 import threading
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import flowcast.io
 from flowcast.config import RunConfig, load_config_file, resolve_config
 from flowcast.errors import ConfigError, EmptyInput, MalformedRow, SeriesTooShort, UnknownVehicleClass
 from flowcast.io import (
@@ -21,8 +24,10 @@ from flowcast.io import (
 )
 from flowcast.kalman import FilterParams, filter_series
 from flowcast.metrics import build_report
-from flowcast.pcu import ClassifiedCount, PcuTable, VehicleClass, to_pcu
-from flowcast.series import FlowSeries
+from flowcast.pcu import ClassifiedCounts, PcuTable, VehicleClass, to_pcu
+from flowcast.series import FlowSeries, aggregate
+
+import oracles
 
 
 def write(tmp_path, name, text):
@@ -34,7 +39,7 @@ def write(tmp_path, name, text):
 class TestReadCountsCsv:
     def test_single_row(self, tmp_path):
         path = write(tmp_path, "counts.csv", "timestamp,vehicle_class,count\n0,Bus,2\n")
-        assert read_counts_csv(path) == [ClassifiedCount(0, VehicleClass.BUS, 2)]
+        assert read_counts_csv(path) == ClassifiedCounts.from_rows([(0, VehicleClass.BUS, 2)])
 
     def test_header_only_is_empty_input(self, tmp_path):
         path = write(tmp_path, "counts.csv", "timestamp,vehicle_class,count\n")
@@ -81,8 +86,8 @@ class TestReadCountsCsv:
             "1970-01-01 00:15:00,truck,3\n"
         )
         records = read_counts_csv(write(tmp_path, "counts.csv", text))
-        assert [r.timestamp for r in records] == [300, 600, 900]
-        assert records[1].vehicle_class is VehicleClass.PRIVATE_CAR
+        assert records.timestamps.tolist() == [300, 600, 900]
+        assert list(records.rows())[1][1] is VehicleClass.PRIVATE_CAR
 
     def test_non_utc_offset_rejected(self, tmp_path):
         path = write(tmp_path, "counts.csv", "timestamp,vehicle_class,count\n1970-01-01T06:00:00+06:00,Bus,1\n")
@@ -95,18 +100,147 @@ class TestReadCountsCsv:
         path.write_bytes(raw)
         records = read_counts_csv(path)
         assert len(records) == 2
-        assert records[1].vehicle_class is VehicleClass.CYCLE_RICKSHAW
+        assert list(records.rows())[1][1] is VehicleClass.CYCLE_RICKSHAW
 
     def test_row_order_preserved(self, tmp_path):
         text = "timestamp,vehicle_class,count\n600,Bus,1\n0,Bus,2\n300,Bus,3\n"
         records = read_counts_csv(write(tmp_path, "counts.csv", text))
-        assert [r.timestamp for r in records] == [600, 0, 300]
+        assert records.timestamps.tolist() == [600, 0, 300]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1" + "0" * 39 + ",Bus,1",
+            "-" + "9" * 40 + ",Bus,1",
+            "9223372036854775808,Bus,1",
+            "-9223372036854775809,Bus,1",
+        ],
+    )
+    def test_timestamp_outside_int64_reports_line(self, tmp_path, row):
+        path = write(tmp_path, "counts.csv", f"timestamp,vehicle_class,count\n0,Bus,1\n{row}\n")
+        with pytest.raises(MalformedRow, match="outside the int64 range") as excinfo:
+            read_counts_csv(path)
+        assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("count", ["99999999999999999999", "9223372036854775808"])
+    def test_count_outside_int64_reports_line(self, tmp_path, count):
+        path = write(tmp_path, "counts.csv", f"timestamp,vehicle_class,count\n0,Bus,1\n0,Bus,{count}\n")
+        with pytest.raises(MalformedRow, match="above the int64 maximum") as excinfo:
+            read_counts_csv(path)
+        assert excinfo.value.line == 3
+
+    def test_int64_limits_accepted(self, tmp_path):
+        text = (
+            "timestamp,vehicle_class,count\n"
+            "-9223372036854775808,Bus,0\n"
+            "9223372036854775807,car,9223372036854775807\n"
+        )
+        records = read_counts_csv(write(tmp_path, "counts.csv", text))
+        assert records.timestamps.tolist() == [-(2**63), 2**63 - 1]
+        assert records.counts.tolist() == [0, 2**63 - 1]
+
+    def test_first_faulty_row_is_reported_before_a_later_csv_error(self, tmp_path):
+        # Rows are read as they are checked, so a bad row comes first.
+        text = "timestamp,vehicle_class,count\n0,Bus,-1\n0,Bus," + "9" * 200_000 + "\n"
+        with pytest.raises(MalformedRow) as excinfo:
+            read_counts_csv(write(tmp_path, "counts.csv", text))
+        assert excinfo.value.line == 2
+
+    def test_csv_error_is_malformed_row(self, tmp_path):
+        text = "timestamp,vehicle_class,count\n0,Bus," + "9" * 200_000 + "\n"
+        with pytest.raises(MalformedRow, match="unreadable CSV"):
+            read_counts_csv(write(tmp_path, "counts.csv", text))
+
+    def test_rows_span_line_chunks(self, tmp_path, monkeypatch):
+        rows = [f"{t},{label},{t % 7}" for t in range(300) for label in ("bus", "Car")]
+        path = write(tmp_path, "counts.csv", "\r\n".join(["timestamp,vehicle_class,count"] + rows) + "\r\n")
+        whole = read_counts_csv(path)
+        monkeypatch.setattr(flowcast.io, "_CHUNK_CHARS", 16)
+        assert read_counts_csv(path) == whole
+        assert whole.timestamps.tolist() == [t for t in range(300) for _ in range(2)]
+        assert whole.counts.tolist() == [t % 7 for t in range(300) for _ in range(2)]
 
     def test_not_utf8_is_malformed(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_bytes(b"\xff\xfe\x00garbage")
         with pytest.raises(MalformedRow):
             read_counts_csv(path)
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_LABELS = [c.label for c in VehicleClass] + ["car", "rickshaw"]
+
+
+@st.composite
+def _stamp_text(draw, stamp):
+    """Epoch seconds, or an ISO-8601 UTC form of them, maybe with spaces or a fraction."""
+    if draw(st.booleans()):
+        pad = draw(st.sampled_from(["", " ", "  "]))
+        return f"{pad}{stamp}{pad}"
+    moment = _EPOCH + timedelta(seconds=stamp, microseconds=draw(st.sampled_from([0, 500_000])))
+    text = moment.isoformat(sep=draw(st.sampled_from(["T", " "])))
+    return text[: -len("+00:00")] + draw(st.sampled_from(["+00:00", "Z", ""]))
+
+
+@st.composite
+def _label_text(draw):
+    """A class label or alias in mixed case, with spaces, hyphens or underscores put in."""
+    label = draw(st.sampled_from(_LABELS)).replace("_", "")
+    chars = []
+    for ch in label:
+        chars.append(ch.upper() if draw(st.booleans()) else ch)
+        chars.append(draw(st.sampled_from(["", "", "", " ", "-", "_"])))
+    return "".join(chars)
+
+
+@st.composite
+def _counts_files(draw):
+    bin_duration = draw(st.sampled_from([1, 7, 60, 300, 3600]))
+    # Mostly a few dozen bins, so bins hold several rows; edges and their neighbours often.
+    offset = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(0, bin_duration - 1))
+    in_bin = st.builds(lambda k, d: k * bin_duration + d, st.integers(-20, 20), offset)
+    stamps = draw(st.lists(st.one_of(in_bin, st.integers(-20_000, 20_000)), min_size=1, max_size=40))
+    lines = ["timestamp,vehicle_class,count"]
+    for stamp in stamps:
+        count = draw(st.one_of(st.integers(0, 500), st.integers(0, 10**15)))
+        pad = draw(st.sampled_from(["", " "]))
+        lines.append(f"{draw(_stamp_text(stamp))},{draw(_label_text())},{pad}{count}{pad}")
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines) + newline
+    start_time = draw(st.one_of(st.none(), st.integers(0, 3 * bin_duration).map(lambda back: min(stamps) - back)))
+    factors = draw(st.one_of(
+        st.just([PcuTable.default().factor(c) for c in VehicleClass]),
+        st.lists(st.floats(0.01, 10.0), min_size=9, max_size=9),
+    ))
+    return text, bin_duration, start_time, factors
+
+
+class TestCountsAgainstOracle:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_counts_files())
+    def test_read_and_aggregate_match_oracle_bit_for_bit(self, tmp_path, drawn):
+        text, bin_duration, start_time, factors = drawn
+        path = tmp_path / "counts.csv"
+        path.write_bytes(text.encode("utf-8"))
+        table = PcuTable(dict(zip(VehicleClass, factors)))
+        series = aggregate(read_counts_csv(path), table, bin_duration, start_time)
+        expected_start, expected = oracles.aggregate_counts(
+            text, {c.label: f for c, f in zip(VehicleClass, factors)}, bin_duration, start_time
+        )
+        assert series.start_time == expected_start
+        assert series.bin_duration == bin_duration
+        assert [v.hex() for v in series.values] == [v.hex() for v in expected]
+
+
+@given(st.text(alphabet="ab,\r\n\x0b\x0c\x1c\x85\u2028"), st.integers(0, 6))
+def test_chunked_lines_match_splitlines(text, chunk_chars):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flowcast.io, "_CHUNK_CHARS", chunk_chars)
+        chunks = list(flowcast.io._chunks(text))
+    assert "".join(chunks) == text
+    assert [line for chunk in chunks for line in chunk.splitlines()] == text.splitlines()
 
 
 class TestSeriesCsv:
@@ -151,16 +285,16 @@ class TestSeriesCsv:
 class TestCountsCsvWriter:
     def test_round_trip_conserves_pcu(self, tmp_path):
         table = PcuTable.default()
-        records = [
-            ClassifiedCount(0, VehicleClass.BUS, 2),
-            ClassifiedCount(10, VehicleClass.MOTORCYCLE, 3),
-            ClassifiedCount(3000, VehicleClass.CYCLE_RICKSHAW, 5),
-        ]
+        records = ClassifiedCounts.from_rows([
+            (0, VehicleClass.BUS, 2),
+            (10, VehicleClass.MOTORCYCLE, 3),
+            (3000, VehicleClass.CYCLE_RICKSHAW, 5),
+        ])
         path = tmp_path / "counts.csv"
         write_counts_csv(records, path)
         reread = read_counts_csv(path)
         assert reread == records
-        total = sum(to_pcu(table, {r.vehicle_class: r.count}) for r in reread)
+        total = sum(to_pcu(table, {vehicle_class: count}) for _, vehicle_class, count in reread.rows())
         assert math.isclose(total, 2 * 3.0 + 3 * 0.75 + 5 * 2.0, rel_tol=1e-12)
 
 

@@ -84,6 +84,14 @@ class TestPearson:
         with pytest.raises(ZeroVariance):
             pearson([1.0, 1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("value", [1.9, 21.39374244084221])
+    def test_constant_series_with_inexact_mean_rejected(self, value):
+        # The float mean of these constant series is not the value itself.
+        with pytest.raises(ZeroVariance):
+            pearson([value] * 3, [1.0, 2.0, 3.0])
+        with pytest.raises(ZeroVariance):
+            pearson([1.0, 2.0, 3.0], [value] * 3)
+
     def test_single_pair_rejected(self):
         with pytest.raises(LengthMismatch):
             pearson([1.0], [2.0])
@@ -283,7 +291,14 @@ def test_r_squared_affine_invariance(base, alpha, beta):
     except ZeroVariance:
         return
     mapped = [alpha * v + beta for v in base]
-    assert r_squared(mapped, noisy) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    try:
+        actual = r_squared(mapped, noisy)
+    except ZeroVariance:
+        # The float map can round distinct values to one: alpha=1, beta=1
+        # maps [1.0, 1.0000000000000002] to [2.0, 2.0], which has no correlation.
+        assert len(set(mapped)) == 1
+        return
+    assert actual == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def test_build_report_assembles_consistent_fields():

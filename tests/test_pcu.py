@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from flowcast.errors import NegativeCount, UnknownVehicleClass
 from flowcast.pcu import (
     DEFAULT_FACTORS,
-    ClassifiedCount,
+    VEHICLE_CLASSES,
+    ClassifiedCounts,
     PcuTable,
     VehicleClass,
     parse_vehicle_class,
@@ -65,7 +66,45 @@ def test_to_pcu_rejects_negative_count():
 
 def test_classified_count_rejects_negative():
     with pytest.raises(NegativeCount):
-        ClassifiedCount(0, VehicleClass.BUS, -2)
+        ClassifiedCounts([0], [VEHICLE_CLASSES.index(VehicleClass.BUS)], [-2])
+
+
+class TestClassifiedCounts:
+    def test_rows_round_trip_in_vehicle_class_order(self):
+        rows = [(300, VehicleClass.CYCLE_RICKSHAW, 4), (-5, VehicleClass.BUS, 0), (0, VehicleClass.UTILITY, 2**63 - 1)]
+        counts = ClassifiedCounts.from_rows(rows)
+        assert list(counts.rows()) == rows
+        assert counts.classes.tolist() == [8, 0, 5]
+        assert (counts.timestamps.dtype, counts.classes.dtype, counts.counts.dtype) == ("int64", "int8", "int64")
+        assert len(counts) == 3
+
+    def test_equality_compares_every_column(self):
+        counts = ClassifiedCounts([0, 300], [0, 1], [1, 2])
+        assert counts == ClassifiedCounts([0, 300], [0, 1], [1, 2])
+        assert counts != ClassifiedCounts([0, 301], [0, 1], [1, 2])
+        assert counts != ClassifiedCounts([0, 300], [0, 2], [1, 2])
+        assert counts != ClassifiedCounts([0, 300], [0, 1], [1, 3])
+        assert counts != [(0, VehicleClass.BUS, 1), (300, VehicleClass.TRUCK, 2)]
+
+    @pytest.mark.parametrize(
+        "columns,message",
+        [
+            (([0, 1], [0], [1]), "differ in length"),
+            (([0], [9], [1]), "class index"),
+            (([0], [-1], [1]), "class index"),
+            (([0.5], [0], [1]), "integers"),
+            (([2**63], [0], [1]), "must lie in"),
+            (([0], [0], [2**64]), "integers"),
+            (([[0]], [[0]], [[1]]), "one-dimensional"),
+        ],
+    )
+    def test_constructor_checks_columns(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            ClassifiedCounts(*columns)
+
+    def test_negative_count_names_its_row(self):
+        with pytest.raises(NegativeCount, match="got -3 at row 1"):
+            ClassifiedCounts([0, 0, 0], [0, 0, 0], [1, -3, -4])
 
 
 @pytest.mark.parametrize(

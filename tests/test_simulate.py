@@ -26,16 +26,16 @@ def test_different_seeds_differ():
 def test_default_scenario_covers_36_bins():
     records = generate(Scenario(seed=3))
     assert Scenario(seed=3).bin_count == 36
-    assert len({r.timestamp for r in records}) == 36
+    assert len(set(records.timestamps.tolist())) == 36
     assert bin_pcu_totals(records) and len(bin_pcu_totals(records)) == 36
 
 
 def test_counts_are_valid_records():
-    for r in generate(Scenario(seed=5)):
-        assert isinstance(r.vehicle_class, VehicleClass)
-        assert isinstance(r.count, int)
-        assert r.count >= 0
-        assert r.timestamp % 300 == 0
+    for timestamp, vehicle_class, count in generate(Scenario(seed=5)).rows():
+        assert isinstance(vehicle_class, VehicleClass)
+        assert isinstance(count, int)
+        assert count >= 0
+        assert timestamp % 300 == 0
 
 
 def test_noise_free_flat_scenario_stays_within_apportionment_bound():
@@ -51,9 +51,9 @@ def test_realized_class_mix_tracks_requested_mix():
     scenario = Scenario(trend=0.0, noise_cv=0.0, seed=1)
     records = generate(scenario)
     pcu_by_class = {}
-    for r in records:
-        pcu_by_class[r.vehicle_class] = pcu_by_class.get(r.vehicle_class, 0.0) + to_pcu(
-            TABLE, {r.vehicle_class: r.count}
+    for _, vehicle_class, count in records.rows():
+        pcu_by_class[vehicle_class] = pcu_by_class.get(vehicle_class, 0.0) + to_pcu(
+            TABLE, {vehicle_class: count}
         )
     total = sum(pcu_by_class.values())
     for cls, proportion in scenario.class_mix.items():
