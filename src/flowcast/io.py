@@ -21,9 +21,9 @@ import math
 import os
 from array import array
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,12 +41,14 @@ REPORT_FILENAME = "report.json"
 TRACE_FILENAME = "trace.csv"
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
     """Write via a temp file and rename; readers never see a partial file.
 
-    The temp file has a unique name in the target's directory, so
-    concurrent writers to one path never share it; the last rename wins.
-    It is synced before the rename and removed if the write fails.
+    text is the whole file, or its pieces in order, which are written one
+    at a time so the whole file need not be held at once. The temp file
+    has a unique name in the target's directory, so concurrent writers to
+    one path never share it; the last rename wins. It is synced before the
+    rename and removed if the write fails.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -54,7 +56,7 @@ def atomic_write_text(path: Path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -242,30 +244,38 @@ def write_series_csv(series: FlowSeries, path: str | Path) -> None:
     atomic_write_text(Path(path), series_csv_text(series))
 
 
-def trace_csv_text(series: FlowSeries, trace: FilterTrace, params: FilterParams) -> str:
-    """Per-bin observed/forecast/filtered values in measurement space.
+def trace_csv_text(series: FlowSeries, trace: FilterTrace, params: FilterParams) -> Iterator[str]:
+    """Yield the lines, without terminators, of the per-bin observed,
+    forecast and filtered values in measurement space.
 
     The first bin seeded the filter, so its forecast, gain and innovation
     columns are empty.
     """
     scale = params.measurement_scale
     starts = series.bin_starts()
-    lines = [",".join(TRACE_HEADER)]
-    lines.append(
-        f"{starts[0]},{_float_repr(series.values[0])},,"
-        f"{_float_repr(scale * trace.initial_state.estimate)},,"
-    )
+    yield ",".join(TRACE_HEADER)
+    yield f"{starts[0]},{_float_repr(series.values[0])},,{_float_repr(scale * trace.initial_state.estimate)},,"
     columns = zip(starts[1:], series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations)
     for start, observed, forecast, estimate, gain, innovation in columns:
-        lines.append(
+        yield (
             f"{start},{_float_repr(observed)},{_float_repr(forecast)},"
             f"{_float_repr(scale * estimate)},{_float_repr(gain)},{_float_repr(innovation)}"
         )
-    return "\n".join(lines) + "\n"
+
+
+# trace.csv is written this many lines at a time, so the whole file is
+# never held in memory.
+_BLOCK_LINES = 4096
+
+
+def _blocks(lines: Iterator[str]) -> Iterator[str]:
+    """The lines joined _BLOCK_LINES at a time, each block ending in a newline."""
+    while block := list(islice(lines, _BLOCK_LINES)):
+        yield "\n".join(block) + "\n"
 
 
 def write_trace_csv(series: FlowSeries, trace: FilterTrace, params: FilterParams, path: str | Path) -> None:
-    atomic_write_text(Path(path), trace_csv_text(series, trace, params))
+    atomic_write_text(Path(path), _blocks(trace_csv_text(series, trace, params)))
 
 
 def report_json_text(report: EvaluationReport, params: FilterParams, init_var: float) -> str:

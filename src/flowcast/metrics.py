@@ -131,6 +131,13 @@ def rmspe(forecast: Sequence[float], observed: Sequence[float], denominator: str
     return float(100.0 * math.sqrt(float(np.mean(errors * errors))))
 
 
+# The sums in pearson and trend_slope are fsums, correctly rounded, so the
+# scores do not depend on the order a library adds in (np.dot's order
+# changes with the BLAS thread count).
+def _mean(values: np.ndarray) -> float:
+    return math.fsum(values.tolist()) / values.size
+
+
 def _centered(values: np.ndarray) -> np.ndarray:
     """Deviations from the mean, centred a second time.
 
@@ -138,8 +145,8 @@ def _centered(values: np.ndarray) -> np.ndarray:
     rounds off leaves equal non-zero deviations; the second pass removes
     them, and such a series then reads as constant.
     """
-    deviations = values - values.mean()
-    return deviations - deviations.mean()
+    deviations = values - _mean(values)
+    return deviations - _mean(deviations)
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> float:
@@ -149,11 +156,11 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
         raise LengthMismatch("correlation needs at least 2 pairs")
     xc = _centered(x)
     yc = _centered(y)
-    sxx = float(np.dot(xc, xc))
-    syy = float(np.dot(yc, yc))
+    sxx = math.fsum((xc * xc).tolist())
+    syy = math.fsum((yc * yc).tolist())
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("correlation is undefined for a constant series")
-    r = float(np.dot(xc, yc)) / math.sqrt(sxx * syy)
+    r = math.fsum((xc * yc).tolist()) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
 
@@ -210,9 +217,8 @@ def trend_slope(series: FlowSeries) -> float:
     y = np.asarray(series.values, dtype=float)
     if y.size < 2:
         raise SeriesTooShort(f"trend needs at least 2 bins, got {y.size}")
-    x = np.arange(y.size, dtype=float)
-    xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    xc = np.arange(y.size) - (y.size - 1) / 2.0
+    return math.fsum((xc * (y - _mean(y))).tolist()) / math.fsum((xc * xc).tolist())
 
 
 def histogram(values: Sequence[float], bin_count: int) -> list[tuple[float, int]]:
@@ -221,19 +227,18 @@ def histogram(values: Sequence[float], bin_count: int) -> list[tuple[float, int]
     The maximum lands in the last bin; a single-point range collapses to
     one bin holding everything.
     """
-    a = [float(v) for v in values]
-    if not a:
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
         raise EmptyInput("cannot bin an empty series")
     if bin_count < 1:
         raise ValueError(f"bin_count must be >= 1, got {bin_count}")
-    lo, hi = min(a), max(a)
+    lo, hi = float(a.min()), float(a.max())
     if lo == hi:
-        return [(lo, len(a))]
+        return [(lo, a.size)]
     span = hi - lo
-    counts = [0] * bin_count
-    for v in a:
-        idx = int((v - lo) / span * bin_count)
-        counts[min(idx, bin_count - 1)] += 1
+    # Truncation as int() does it: every index is >= 0.
+    index = ((a - lo) / span * bin_count).astype(np.int64)
+    counts = np.bincount(np.minimum(index, bin_count - 1), minlength=bin_count).tolist()
     return [(lo + i * span / bin_count, counts[i]) for i in range(bin_count)]
 
 

@@ -2,7 +2,9 @@
 
 The SVG text is assembled by hand with fixed coordinate formatting, so
 identical inputs produce byte-identical files. No plotting library is
-involved; golden-file tests stay stable across environments.
+involved; golden-file tests stay stable across environments. A figure's
+size is bounded by its pixel area: the time series keeps the M4 points
+of each pixel column, and the scatter draws one mark per pixel cell.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import html
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from flowcast.io import atomic_write_text
 from flowcast.metrics import DescriptiveStats, EvaluationReport, histogram
@@ -100,8 +104,7 @@ def _document(title: str, body: list[str]) -> str:
 
 def histogram_svg(values: Sequence[float], bin_count: int, title: str, color: str) -> str:
     bins = histogram(values, bin_count)
-    lo = min(values)
-    hi = max(values)
+    lo, hi = float(np.min(values)), float(np.max(values))
     x_lo, x_hi = _pad_range(lo, hi)
     max_count = max(c for _, c in bins)
     frame = _Frame(x_lo, x_hi, 0.0, max_count * 1.05)
@@ -163,8 +166,10 @@ def boxplot_svg(groups: Sequence[tuple[str, DescriptiveStats]], title: str) -> s
 
 
 def scatter_svg(x_values: Sequence[float], y_values: Sequence[float], title: str) -> str:
-    lo = min(min(x_values), min(y_values))
-    hi = max(max(x_values), max(y_values))
+    x_values = np.asarray(x_values, dtype=float)
+    y_values = np.asarray(y_values, dtype=float)
+    lo = float(min(x_values.min(), y_values.min()))
+    hi = float(max(x_values.max(), y_values.max()))
     lo, hi = _pad_range(lo, hi)
     frame = _Frame(lo, hi, lo, hi)
     body = frame.axes()
@@ -172,16 +177,54 @@ def scatter_svg(x_values: Sequence[float], y_values: Sequence[float], title: str
         f'<line x1="{_fmt(frame.x(lo))}" y1="{_fmt(frame.y(lo))}" x2="{_fmt(frame.x(hi))}" '
         f'y2="{_fmt(frame.y(hi))}" stroke="{TREND_COLOR}" stroke-width="1" stroke-dasharray="5,4"/>'
     )
-    for xv, yv in zip(x_values, y_values):
+    # One mark per occupied 1 px cell, at the cell's first point, in the
+    # order cells are first met. Its opacity is that of the cell's points
+    # stacked at 0.75 each, so a lone point reads 0.75.
+    xs = frame.x(x_values)
+    ys = frame.y(y_values)
+    # Pixel y lies in [0, HEIGHT), so the key is unique per cell.
+    cells = np.floor(xs) * HEIGHT + np.floor(ys)
+    _, first, counts = np.unique(cells, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first, counts = first[order], counts[order]
+    for xv, yv, count in zip(xs[first].tolist(), ys[first].tolist(), counts.tolist()):
         body.append(
-            f'<circle cx="{_fmt(frame.x(xv))}" cy="{_fmt(frame.y(yv))}" r="3" '
-            f'fill="{OBSERVED_COLOR}" fill-opacity="0.75"/>'
+            f'<circle cx="{xv:.2f}" cy="{yv:.2f}" r="3" '
+            f'fill="{OBSERVED_COLOR}" fill-opacity="{1.0 - 0.25**count:.6g}"/>'
         )
     return _document(title, body)
 
 
+def _m4(columns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sorted indices of the first, last, lowest and highest value in each
+    run of equal columns; ties go to the earliest point.
+
+    columns must be non-decreasing.
+    """
+    index = np.arange(values.size)
+    starts = np.flatnonzero(np.diff(columns, prepend=-np.inf))
+    ends = np.append(starts[1:], values.size) - 1
+    sizes = ends - starts + 1
+    kept = [starts, ends]
+    for reduce in (np.minimum, np.maximum):
+        extreme = np.repeat(reduce.reduceat(values, starts), sizes)
+        kept.append(np.minimum.reduceat(np.where(values == extreme, index, values.size), starts))
+    return np.unique(np.concatenate(kept))
+
+
 def _polyline(frame: _Frame, values: Sequence[float], color: str, dash: str = "") -> str:
-    points = " ".join(f"{_fmt(frame.x(i))},{_fmt(frame.y(v))}" for i, v in enumerate(values))
+    """The line through (i, values[i]), keeping the M4 points of each 1 px column.
+
+    M4 (Jugel et al. 2014) keeps the first, last, lowest and highest point
+    of each pixel column, which is all a line drawn at that width shows.
+    The column is the floor of the x pixel, so a line of up to 557 points
+    has at most two points a column and keeps all of them.
+    """
+    v = np.asarray(values, dtype=float)
+    xs = frame.x(np.arange(v.size))
+    ys = frame.y(v)
+    kept = _m4(np.floor(xs), v)
+    points = " ".join(map("{:.2f},{:.2f}".format, xs[kept].tolist(), ys[kept].tolist()))
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>'
 
@@ -189,17 +232,22 @@ def _polyline(frame: _Frame, values: Sequence[float], color: str, dash: str = ""
 def timeseries_svg(observed: Sequence[float], predicted: Sequence[float], title: str) -> str:
     """Observed and predicted overlaid by bin index, with the OLS trend of
     the observed values as a dashed line."""
-    n = len(observed)
-    y_lo = min(min(observed), min(predicted))
-    y_hi = max(max(observed), max(predicted))
+    observed = np.asarray(observed, dtype=float)
+    predicted = np.asarray(predicted, dtype=float)
+    n = observed.size
+    y_lo = float(min(observed.min(), predicted.min()))
+    y_hi = float(max(observed.max(), predicted.max()))
     y_lo, y_hi = _pad_range(y_lo, y_hi)
     frame = _Frame(0.0, float(max(n - 1, 1)), y_lo, y_hi)
     body = frame.axes()
 
     x_mean = (n - 1) / 2.0
-    y_mean = sum(observed) / n
-    sxx = sum((i - x_mean) ** 2 for i in range(n))
-    slope = sum((i - x_mean) * (v - y_mean) for i, v in enumerate(observed)) / sxx if sxx else 0.0
+    # The builtin sum adds left to right, as a plain loop does; numpy sums
+    # pairwise, which would change the last bits.
+    y_mean = sum(observed.tolist()) / n
+    dx = np.arange(n) - x_mean
+    sxx = sum((dx * dx).tolist())
+    slope = sum((dx * (observed - y_mean)).tolist()) / sxx if sxx else 0.0
     intercept = y_mean - slope * x_mean
     trend_y0 = min(max(intercept, y_lo), y_hi)
     trend_y1 = min(max(intercept + slope * (n - 1), y_lo), y_hi)
@@ -234,8 +282,8 @@ def render_plots(
     from (one value per forecasted bin).
     """
     out_dir = Path(out_dir)
-    observed_values = list(observed.values)
-    predicted_values = [float(v) for v in predicted]
+    observed_values = np.asarray(observed.values, dtype=float)
+    predicted_values = np.asarray(predicted, dtype=float)
     documents = {
         "observed_histogram.svg": histogram_svg(
             observed_values, histogram_bins, "Observed flow histogram (PCU per bin)", OBSERVED_COLOR

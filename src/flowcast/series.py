@@ -9,7 +9,6 @@ are kept as raw sums, not scaled to full-bin rates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +47,6 @@ class FlowSeries:
     def tail(self) -> "FlowSeries":
         """The series without its first bin (the bins that get forecasts)."""
         return FlowSeries(self.start_time + self.bin_duration, self.bin_duration, self.values[1:])
-
-
-@dataclass(frozen=True)
-class SeriesIssue:
-    """One validation finding; kind is zero_length, negative_value or non_finite_value."""
-
-    kind: str
-    index: int | None = None
 
 
 def aggregate(
@@ -99,19 +90,3 @@ def aggregate(
     # bincount adds the weights in row order, as a per-record loop would.
     values = np.bincount(bin_index, weights=counts.counts * factors[counts.classes], minlength=n_bins)
     return FlowSeries(start_time, bin_duration, values.tolist())
-
-
-def validate_series(series: FlowSeries) -> list[SeriesIssue]:
-    """Report structural problems; an empty list means well-formed.
-
-    Never raises: this is the check you run on data of unknown quality.
-    """
-    issues: list[SeriesIssue] = []
-    if len(series.values) == 0:
-        issues.append(SeriesIssue("zero_length"))
-    for i, v in enumerate(series.values):
-        if not math.isfinite(v):
-            issues.append(SeriesIssue("non_finite_value", i))
-        elif v < 0:
-            issues.append(SeriesIssue("negative_value", i))
-    return issues

@@ -72,6 +72,27 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     return cov / math.sqrt(var_a * var_b)
 
 
+def pearson_centred_twice(a: Sequence[float], b: Sequence[float]) -> float:
+    """Pearson r with every sum an fsum, clamped into [-1, 1].
+
+    Each series is centred on its mean, then on the mean of its
+    deviations, which takes out the first mean's rounding error. A
+    constant series raises ZeroDivisionError.
+    """
+
+    def centred(values):
+        m = mean(values)
+        deviations = [v - m for v in values]
+        m = mean(deviations)
+        return [d - m for d in deviations]
+
+    x, y = centred(a), centred(b)
+    sxx = math.fsum(u * u for u in x)
+    syy = math.fsum(v * v for v in y)
+    r = math.fsum(u * v for u, v in zip(x, y)) / math.sqrt(sxx * syy)
+    return max(-1.0, min(1.0, r))
+
+
 def ols_slope(values: Sequence[float]) -> float:
     """Normal-equations slope of value against its index."""
     n = len(values)
@@ -188,3 +209,48 @@ def aggregate_counts(
     for stamp, factor, count in rows:
         values[(stamp - start_time) // bin_duration] += count * factor
     return start_time, values
+
+
+def histogram(values: Sequence[float], bin_count: int) -> list[tuple[float, int]]:
+    """Equal-width bins over [min, max] as (lower edge, count), one value at
+    a time: value v goes to bin int((v - lo) / span * bin_count), and the
+    maximum to the last bin. A single-point range is one bin."""
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        return [(lo, len(values))]
+    span = hi - lo
+    counts = [0] * bin_count
+    for v in values:
+        counts[min(int((v - lo) / span * bin_count), bin_count - 1)] += 1
+    return [(lo + i * span / bin_count, counts[i]) for i in range(bin_count)]
+
+
+def m4_indices(columns: Sequence[int], values: Sequence[float]) -> list[int]:
+    """The points M4 keeps of a line, as sorted indices.
+
+    For each column number: the first and last point in it, and the first
+    point holding its least and its greatest value.
+    """
+    members: dict[int, list[int]] = {}
+    for i, column in enumerate(columns):
+        members.setdefault(column, []).append(i)
+    kept = set()
+    for indices in members.values():
+        kept.update((
+            indices[0],
+            indices[-1],
+            min(indices, key=lambda i: values[i]),
+            max(indices, key=lambda i: values[i]),
+        ))
+    return sorted(kept)
+
+
+def pixel_cells(px: Sequence[float], py: Sequence[float]) -> list[tuple[int, int]]:
+    """(index of its first point, point count) for each 1 px cell
+    (floor x, floor y) that holds a point, in the order cells are first met."""
+    cells: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, (x, y) in enumerate(zip(px, py)):
+        cell = (math.floor(x), math.floor(y))
+        first, count = cells.get(cell, (i, 0))
+        cells[cell] = (first, count + 1)
+    return list(cells.values())

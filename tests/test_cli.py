@@ -229,10 +229,46 @@ class TestGoldenTrace:
         ("volatile", "8c12dc1cc6d70a1200163ab2bf4d0b3b5f235a96e01f71aacd592b1e08852dbe"),
     ])
     def test_trace_csv_digest(self, tmp_path, preset, digest):
-        counts = tmp_path / "counts.csv"
-        assert run_cli("simulate", "--preset", preset, "--out", str(counts)) == 0
-        assert run_cli("run", str(counts), "--out-dir", str(tmp_path / "results")) == 0
-        assert hashlib.sha256((tmp_path / "results" / "trace.csv").read_bytes()).hexdigest() == digest
+        assert _preset_digests(tmp_path, preset)["trace.csv"] == digest
+
+    # sha256 of the five figures from the same runs, in PLOT_FILENAMES
+    # order. A preset has 36 bins, so every point keeps its own mark and
+    # its own polyline vertex.
+    @pytest.mark.parametrize("preset, digests", [
+        ("paper-like", (
+            "831d8a2e8aa510c78d806eeac53b6f299ee1dce86b597edde7d4f3104e9d2ce3",
+            "8c922f5b00993de703e647bcf693bec4cea1052383f06a8bc2004404663b56b8",
+            "d94a24b22bc6334a5c9a038f345e5c1ac27fafd860cc7e1f32713c68217922f9",
+            "ff742d59681bcfce02e3cc73a3edb060447642f7e267d8b8d075702e65ec1c1c",
+            "e2d6933e5148cc73c7ad15c6be9c8d228bb7e6467daa4b8902954f4c662396e4",
+        )),
+        ("steady", (
+            "0cd35e4361e3b6ccb1c16b5d84da4911741619ce3e344ff7f91d15e8010295ee",
+            "b0d152035fe831ee97770240f01a4c5a04c111653c76b5a0afd980286b0beba7",
+            "5ed1f7bcc6bd20fbbae02c895508b3d12abdba2fca8b438c50ef49a345b67308",
+            "7fe3ff037dfb5b93bff5d0cc8b2a157af4110aedbfdf28599d444790aa14ff27",
+            "e622a77e889ab0cfefca9894a23faf41df7367c6560747efe4ac46faa9fd61e0",
+        )),
+        ("volatile", (
+            "024c3d03df1422c22ecced819120b7ca33520fc4a437d863b916288a3231626c",
+            "14fec178988a699e1d080ca4612fc3880261edfcd7eaf995eb86e97c5439cb44",
+            "0769d9ff77a985db30a9459a5d7d95dc1576545fc76d420120ead4a6c9da52ff",
+            "1c6d95fec8cb1169c9c4dda062475e6b20f356b4de9dfcd23fca4a34cca60dc2",
+            "528d41566962b2216357c449f4cad8f7b036860a2ae7b84b468eb56bea3a9415",
+        )),
+    ])
+    def test_svg_digests(self, tmp_path, preset, digests):
+        found = _preset_digests(tmp_path, preset)
+        assert tuple(found[name] for name in PLOT_FILENAMES) == digests
+
+
+def _preset_digests(tmp_path, preset):
+    """sha256 of each output of `simulate --preset P` then `run`, by file name."""
+    counts = tmp_path / "counts.csv"
+    results = tmp_path / "results"
+    assert run_cli("simulate", "--preset", preset, "--out", str(counts)) == 0
+    assert run_cli("run", str(counts), "--out-dir", str(results)) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in results.iterdir()}
 
 
 class TestUsage:

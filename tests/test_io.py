@@ -342,7 +342,7 @@ class TestReportWriting:
 
     def test_trace_csv_layout(self):
         series, params, trace, report = _report_fixture()
-        lines = trace_csv_text(series, trace, params).splitlines()
+        lines = list(trace_csv_text(series, trace, params))
         assert lines[0] == "bin_start,observed,forecast,filtered,gain,innovation"
         assert len(lines) == 1 + len(series)
         first = lines[1].split(",")

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from flowcast.errors import (
     EmptyInput,
@@ -95,6 +95,22 @@ class TestPearson:
     def test_single_pair_rejected(self):
         with pytest.raises(LengthMismatch):
             pearson([1.0], [2.0])
+
+    @given(st.integers(2, 80).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+    )))
+    def test_equals_fsum_oracle_exactly(self, pair):
+        # Every sum is an fsum, so the result is the same bits whatever
+        # order a library would add in, and equal to the plain-loop oracle.
+        a, b = pair
+        try:
+            expected = oracles.pearson_centred_twice(a, b)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroVariance):
+                pearson(a, b)
+        else:
+            assert pearson(a, b) == expected
 
 
 class TestRSquared:
@@ -197,6 +213,10 @@ class TestTrendSlope:
         got = trend_slope(FlowSeries(0, 300, tuple(values)))
         assert got == pytest.approx(oracles.ols_slope(values), rel=1e-12)
 
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))
+    def test_equals_fsum_oracle_exactly(self, values):
+        assert trend_slope(FlowSeries(0, 300, tuple(values))) == oracles.ols_slope(values)
+
     def test_reversal_negates_slope(self):
         values = (4.0, 9.0, 2.0, 7.0, 5.0)
         fwd = trend_slope(FlowSeries(0, 300, values))
@@ -227,6 +247,26 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             histogram([], 4)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-1e300, 1e300),
+                st.integers(-8, 8).map(float),  # values on bin edges, and ties
+                # Multiples of inexact decimals, whose bin index depends on
+                # the order of the divide and the multiply.
+                st.builds(lambda k, step: k * step, st.integers(0, 10), st.sampled_from([0.1, 0.3, 0.7, 1.1])),
+                st.sampled_from([0.0, -0.0, 1.0, 1.0000000000000002, 5e-324, -5e-324]),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+        st.integers(1, 40),
+    )
+    @example([3.0, 1.2, 0.0], 20)
+    @example([0.0, 2.8, 5.6], 12)
+    def test_matches_per_value_loop(self, values, bin_count):
+        assert histogram(values, bin_count) == oracles.histogram(values, bin_count)
 
 
 nonzero_values = st.lists(

@@ -1,14 +1,28 @@
 """SVG figure rendering: file contract, determinism, degenerate input."""
 
+import math
+import random
 import re
 import xml.etree.ElementTree as ElementTree
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flowcast.kalman import FilterParams, filter_series
 from flowcast.metrics import build_report, trend_slope
-from flowcast.plots import PLOT_FILENAMES, render_plots, timeseries_svg
+from flowcast.plots import (
+    OBSERVED_COLOR,
+    PLOT_FILENAMES,
+    PREDICTED_COLOR,
+    _Frame,
+    _pad_range,
+    render_plots,
+    scatter_svg,
+    timeseries_svg,
+)
 from flowcast.series import FlowSeries
+
+import oracles
 
 
 def _pipeline(values):
@@ -82,3 +96,85 @@ def test_timeseries_trend_line_flat_for_constant_flow():
     svg = timeseries_svg(observed, predicted, "overlay")
     _, y1, _, y2 = _trend_line_pixels(svg)
     assert y1 == pytest.approx(y2, abs=0.02)
+
+
+def _line_points(svg_text, color):
+    match = re.search(rf'<polyline points="([^"]*)" fill="none" stroke="{color}"', svg_text)
+    assert match is not None
+    return match.group(1).split(" ")
+
+
+def _series_pair(max_size):
+    """Two equal-length series, half their values small integers so that
+    ties and repeated extremes are common. Drawn from a seeded generator,
+    since Hypothesis builds lists of thousands slowly."""
+
+    def build(n, seed):
+        rng = random.Random(seed)
+        draw = lambda: float(rng.randint(0, 20)) if rng.random() < 0.5 else rng.uniform(-1e4, 1e4)
+        return [draw() for _ in range(n)], [draw() for _ in range(n)]
+
+    return st.builds(build, st.integers(1, max_size), st.integers(0, 2**32 - 1))
+
+
+def _timeseries_frame(observed, predicted):
+    y_lo, y_hi = _pad_range(min(observed + predicted), max(observed + predicted))
+    return _Frame(0.0, float(max(len(observed) - 1, 1)), y_lo, y_hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series_pair(3000))
+def test_timeseries_keeps_the_m4_points_of_each_pixel_column(pair):
+    observed, predicted = pair
+    svg = timeseries_svg(observed, predicted, "overlay")
+    frame = _timeseries_frame(observed, predicted)
+    for values, color in ((observed, OBSERVED_COLOR), (predicted, PREDICTED_COLOR)):
+        px = [frame.x(i) for i in range(len(values))]
+        py = [frame.y(v) for v in values]
+        kept = oracles.m4_indices([math.floor(x) for x in px], values)
+        assert _line_points(svg, color) == [f"{px[i]:.2f},{py[i]:.2f}" for i in kept]
+
+
+# The longest line that keeps every point, with values that jump about.
+_ZIGZAG = [float((i * 7919) % 101) for i in range(557)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_series_pair(557))
+@example((_ZIGZAG, _ZIGZAG[::-1]))
+def test_timeseries_of_up_to_557_points_keeps_every_point(pair):
+    # The plot is 556 px wide, so consecutive points are at least 1 px apart.
+    observed, predicted = pair
+    svg = timeseries_svg(observed, predicted, "overlay")
+    frame = _timeseries_frame(observed, predicted)
+    for values, color in ((observed, OBSERVED_COLOR), (predicted, PREDICTED_COLOR)):
+        assert _line_points(svg, color) == [f"{frame.x(i):.2f},{frame.y(v):.2f}" for i, v in enumerate(values)]
+
+
+def _scatter_points(n, seed):
+    """n points, most in clusters about 13 px wide around the integers 0 to
+    6 at steps of about 0.3 px, so that cells often hold several points
+    and points often sit near a cell edge."""
+    rng = random.Random(seed)
+    draw = lambda: rng.randint(0, 6) + rng.randint(0, 40) * 0.004 if rng.random() < 0.8 else rng.uniform(0.0, 7.0)
+    return [draw() for _ in range(n)], [draw() for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(_scatter_points, st.integers(1, 400), st.integers(0, 2**32 - 1)))
+def test_scatter_draws_one_mark_per_occupied_pixel_cell(points):
+    xs, ys = points
+    svg = scatter_svg(xs, ys, "scatter")
+    lo, hi = _pad_range(min(xs + ys), max(xs + ys))
+    frame = _Frame(lo, hi, lo, hi)
+    px = [frame.x(v) for v in xs]
+    py = [frame.y(v) for v in ys]
+    cells = oracles.pixel_cells(px, py)
+    marks = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="3" fill="#1f6fb4" fill-opacity="([^"]+)"/>', svg)
+    assert len(marks) == len(cells)
+    for (cx, cy, opacity), (first, count) in zip(marks, cells):
+        assert (cx, cy) == (f"{px[first]:.2f}", f"{py[first]:.2f}")
+        # count coincident marks at 0.75 composite to 1 - 0.25**count.
+        assert float(opacity) == pytest.approx(1.0 - 0.25**count, abs=1e-6)
+        if count == 1:
+            assert opacity == "0.75"

@@ -1,4 +1,4 @@
-"""Aggregation into fixed bins and series validation."""
+"""Aggregation into fixed bins."""
 
 import math
 import random
@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from flowcast.errors import EmptyInput, RecordBeforeStart
 from flowcast.io import counts_csv_text
 from flowcast.pcu import ClassifiedCounts, PcuTable, VehicleClass, to_pcu
-from flowcast.series import FlowSeries, aggregate, validate_series
+from flowcast.series import FlowSeries, aggregate
 
 import oracles
 
@@ -131,28 +131,6 @@ def test_extreme_timestamps_and_bins(stamps, bin_duration, start_time, expected)
     assert (series.start_time, list(series.values)) == oracles.aggregate_counts(
         counts_csv_text(records), factors, bin_duration, start_time
     )
-
-
-def test_validate_accepts_well_formed_series():
-    assert validate_series(FlowSeries(0, 300, (225.0, 927.0))) == []
-
-
-def test_validate_reports_zero_length():
-    issues = validate_series(FlowSeries(0, 300, ()))
-    assert [i.kind for i in issues] == ["zero_length"]
-
-
-def test_validate_reports_negative_value_with_index():
-    issues = validate_series(FlowSeries(0, 300, (-1.0,)))
-    assert [(i.kind, i.index) for i in issues] == [("negative_value", 0)]
-
-
-def test_validate_reports_non_finite():
-    issues = validate_series(FlowSeries(0, 300, (1.0, float("nan"), float("inf"))))
-    assert [(i.kind, i.index) for i in issues] == [
-        ("non_finite_value", 1),
-        ("non_finite_value", 2),
-    ]
 
 
 def test_tail_drops_first_bin():
