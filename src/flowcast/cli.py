@@ -21,15 +21,14 @@ from typing import Sequence
 from flowcast.config import SETTINGS, RunConfig, config_file_from_env, load_config_file, resolve_config
 from flowcast.errors import ConfigError, DataError, InvalidParams, InvalidScenario
 from flowcast.io import (
+    atomic_write_text,
     counts_csv_text,
     parse_timestamp,
     read_counts_csv,
     read_series_csv,
     series_csv_text,
     sniff_input_kind,
-    write_counts_csv,
     write_report,
-    write_series_csv,
     write_trace_csv,
 )
 from flowcast.kalman import FilterParams, FilterTrace, estimate_noise, filter_series, forecast_next
@@ -44,6 +43,18 @@ class _Parser(argparse.ArgumentParser):
     # errors, so route usage problems through ConfigError instead.
     def error(self, message):
         raise ConfigError(message)
+
+
+# The Scenario fields simulate takes as flags: field, type, metavar. Each
+# flag is "--" plus the field with underscores turned into dashes.
+_SCENARIO_FLAGS = (
+    ("duration", int, "SECONDS"),
+    ("bin_duration", int, "SECONDS"),
+    ("base_flow", float, "PCU"),
+    ("trend", float, "PCU_PER_BIN"),
+    ("noise_cv", float, "CV"),
+    ("seed", int, None),
+)
 
 
 def _positive_int(text: str) -> int:
@@ -100,25 +111,14 @@ def _note(message: str) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     scenario = preset(args.preset) if args.preset else Scenario()
-    overrides = {
-        name: value
-        for name, value in (
-            ("duration", args.duration),
-            ("bin_duration", args.bin_duration),
-            ("base_flow", args.base_flow),
-            ("trend", args.trend),
-            ("noise_cv", args.noise_cv),
-            ("seed", args.seed),
-        )
-        if value is not None
-    }
+    overrides = {name: getattr(args, name) for name, _, _ in _SCENARIO_FLAGS if getattr(args, name) is not None}
     try:
         scenario = dataclasses.replace(scenario, **overrides)
     except InvalidScenario as exc:
         raise ConfigError(str(exc)) from None
     counts = generate(scenario)
     if args.out:
-        write_counts_csv(counts, args.out)
+        atomic_write_text(args.out, counts_csv_text(counts))
         _note(f"wrote {len(counts)} records over {scenario.bin_count} bins to {args.out}")
     else:
         sys.stdout.write(counts_csv_text(counts))
@@ -135,7 +135,7 @@ def _cmd_convert(args: argparse.Namespace) -> None:
             raise ConfigError(f"--start-time: {exc}") from None
     series = aggregate(counts, config.pcu_table(), config.bin_duration, start_time)
     if args.out:
-        write_series_csv(series, args.out)
+        atomic_write_text(args.out, series_csv_text(series))
         _note(f"wrote {len(series)} bins to {args.out}")
     else:
         sys.stdout.write(series_csv_text(series))
@@ -156,7 +156,7 @@ def _cmd_forecast(args: argparse.Namespace) -> None:
     if args.out:
         write_trace_csv(series, trace, params, args.out)
         _note(f"wrote trace for {len(series)} bins to {args.out}")
-    values = forecast_next(trace.final_state, params, args.horizon)
+    values = forecast_next(trace.estimates[-1], params, args.horizon)
     sys.stdout.write("step,pcu\n")
     for step, value in enumerate(values, start=1):
         sys.stdout.write(f"{step},{value!r}\n")
@@ -198,12 +198,8 @@ def _build_parser() -> _Parser:
 
     simulate_parser = commands.add_parser("simulate", help="generate a synthetic classified-count CSV")
     simulate_parser.add_argument("--preset", help="named scenario: paper-like, steady or volatile")
-    simulate_parser.add_argument("--duration", type=int, metavar="SECONDS")
-    simulate_parser.add_argument("--bin-duration", type=int, dest="bin_duration", metavar="SECONDS")
-    simulate_parser.add_argument("--base-flow", type=float, dest="base_flow", metavar="PCU")
-    simulate_parser.add_argument("--trend", type=float, metavar="PCU_PER_BIN")
-    simulate_parser.add_argument("--noise-cv", type=float, dest="noise_cv", metavar="CV")
-    simulate_parser.add_argument("--seed", type=int)
+    for name, parse, metavar in _SCENARIO_FLAGS:
+        simulate_parser.add_argument("--" + name.replace("_", "-"), type=parse, dest=name, metavar=metavar)
     simulate_parser.add_argument("--out", type=Path, help="counts CSV path (default: stdout)")
     simulate_parser.set_defaults(handler=_cmd_simulate)
 

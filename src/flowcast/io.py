@@ -4,7 +4,7 @@ File formats (all UTF-8, LF or CRLF accepted on input, LF written):
   counts CSV:  timestamp,vehicle_class,count
   series CSV:  bin_start,pcu
   trace CSV:   bin_start,observed,forecast,filtered,gain,innovation
-  report JSON: versioned schema, see write_report_json
+  report JSON: versioned schema, see report_json_text
 
 Timestamps are integer epoch seconds or ISO-8601 UTC ('Z' or '+00:00';
 a naive ISO timestamp is taken as UTC, any other offset is rejected).
@@ -16,12 +16,13 @@ partial file.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
 from array import array
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -88,47 +89,42 @@ def parse_timestamp(text: str, line: int = 0) -> int:
     return math.floor(moment.timestamp())
 
 
-# The text is split into lines a chunk at a time, so the whole file is
-# never held as a list of lines. Each chunk ends just after a "\n", where
-# str.splitlines always splits, so the lines are those of text.splitlines().
-_CHUNK_CHARS = 1 << 20
+def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each non-blank row, header included.
+
+    The file is decoded and parsed as rows are consumed, so a byte or row
+    that cannot be read is reported only when it is reached. A row's line
+    number is the file line it ends on.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            reader = csv.reader(handle)
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+    except UnicodeDecodeError:
+        raise MalformedRow(0, "file is not valid UTF-8") from None
+    except csv.Error as exc:
+        raise MalformedRow(0, f"unreadable CSV: {exc}") from None
 
 
-def _chunks(text: str) -> Iterator[str]:
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        yield text[start:end]
-        start = end
+def _header(records: Iterator[tuple[int, list[str]]], path: str | Path) -> tuple[int, list[str]]:
+    """Line number and normalized fields of the first non-blank row."""
+    for line, header in records:
+        return line, [h.strip().lower() for h in header]
+    raise EmptyInput(f"{path}: file is empty")
 
 
 def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each non-blank row after the header.
-
-    Rows are parsed as they are consumed, so a row the csv module cannot
-    read is reported only when it is reached.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError:
-        raise MalformedRow(0, "file is not valid UTF-8") from None
-    numbered = enumerate(csv.reader(chain.from_iterable(map(str.splitlines, _chunks(text)))), start=1)
-    try:
-        for header_line, header in numbered:
-            if header:
-                break
-        else:
-            raise EmptyInput(f"{path}: file is empty")
-        if [h.strip().lower() for h in header] != expected_header:
-            raise MalformedRow(header_line, f"expected header {','.join(expected_header)!r}")
-        empty = True
-        for line, row in numbered:
-            if row:
-                empty = False
-                yield line, row
-    except csv.Error as exc:
-        raise MalformedRow(0, f"unreadable CSV: {exc}") from None
+    """Yield (line number, fields) for each non-blank row after the header."""
+    records = _records(path)
+    header_line, header = _header(records, path)
+    if header != expected_header:
+        raise MalformedRow(header_line, f"expected header {','.join(expected_header)!r}")
+    empty = True
+    for line, row in records:
+        empty = False
+        yield line, row
     if empty:
         raise EmptyInput(f"{path}: no data rows")
 
@@ -206,22 +202,13 @@ def read_series_csv(path: str | Path) -> FlowSeries:
 
 
 def sniff_input_kind(path: str | Path) -> str:
-    """'counts' or 'series', judged by the header line."""
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            header = next(csv.reader(handle), None)
-    except UnicodeDecodeError:
-        raise MalformedRow(0, "file is not valid UTF-8") from None
-    except csv.Error as exc:
-        raise MalformedRow(0, f"unreadable CSV: {exc}") from None
-    if header is None:
-        raise EmptyInput(f"{path}: file is empty")
-    normalized = [h.strip().lower() for h in header]
-    if normalized == COUNTS_HEADER:
+    """'counts' or 'series', judged by the header: the first non-blank row."""
+    line, header = _header(_records(path), path)
+    if header == COUNTS_HEADER:
         return "counts"
-    if normalized == SERIES_HEADER:
+    if header == SERIES_HEADER:
         return "series"
-    raise MalformedRow(1, f"unrecognized header {','.join(header)!r}")
+    raise MalformedRow(line, f"unrecognized header {','.join(header)!r}")
 
 
 def counts_csv_text(counts: ClassifiedCounts) -> str:
@@ -230,18 +217,10 @@ def counts_csv_text(counts: ClassifiedCounts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_counts_csv(counts: ClassifiedCounts, path: str | Path) -> None:
-    atomic_write_text(Path(path), counts_csv_text(counts))
-
-
 def series_csv_text(series: FlowSeries) -> str:
     lines = [",".join(SERIES_HEADER)]
     lines += [f"{t},{_float_repr(v)}" for t, v in zip(series.bin_starts(), series.values)]
     return "\n".join(lines) + "\n"
-
-
-def write_series_csv(series: FlowSeries, path: str | Path) -> None:
-    atomic_write_text(Path(path), series_csv_text(series))
 
 
 def trace_csv_text(series: FlowSeries, trace: FilterTrace, params: FilterParams) -> Iterator[str]:
@@ -254,7 +233,7 @@ def trace_csv_text(series: FlowSeries, trace: FilterTrace, params: FilterParams)
     scale = params.measurement_scale
     starts = series.bin_starts()
     yield ",".join(TRACE_HEADER)
-    yield f"{starts[0]},{_float_repr(series.values[0])},,{_float_repr(scale * trace.initial_state.estimate)},,"
+    yield f"{starts[0]},{_float_repr(series.values[0])},,{_float_repr(scale * trace.initial_estimate)},,"
     columns = zip(starts[1:], series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations)
     for start, observed, forecast, estimate, gain, innovation in columns:
         yield (
@@ -280,7 +259,7 @@ def write_trace_csv(series: FlowSeries, trace: FilterTrace, params: FilterParams
 
 def report_json_text(report: EvaluationReport, params: FilterParams, init_var: float) -> str:
     document = {"schema": 1}
-    document.update(report.to_dict())
+    document.update(dataclasses.asdict(report))
     document["params"] = {
         "m_t": params.transition,
         "m_m": params.measurement_scale,
@@ -289,10 +268,6 @@ def report_json_text(report: EvaluationReport, params: FilterParams, init_var: f
         "p0": init_var,
     }
     return json.dumps(document, indent=2) + "\n"
-
-
-def write_report_json(report: EvaluationReport, params: FilterParams, init_var: float, path: str | Path) -> None:
-    atomic_write_text(Path(path), report_json_text(report, params, init_var))
 
 
 def write_report(
@@ -307,6 +282,6 @@ def write_report(
     out_dir = Path(out_dir)
     report_path = out_dir / REPORT_FILENAME
     trace_path = out_dir / TRACE_FILENAME
-    write_report_json(report, params, init_var, report_path)
+    atomic_write_text(report_path, report_json_text(report, params, init_var))
     write_trace_csv(series, trace, params, trace_path)
     return [report_path, trace_path]

@@ -17,9 +17,9 @@ same weight as every later one; with transition = 1, process_var = 0 and
 a diffuse p0 the posterior is exactly the running mean of the series.
 
 filter_series runs the whole recursion in one plain-float loop and
-returns a FilterTrace: the seeded state plus parallel columns (forecast,
-posterior estimate and variance, gain, innovation) with one entry per
-observation after the first.
+returns a FilterTrace: the seed posterior (estimate and variance) plus
+parallel columns (forecast, posterior estimate and variance, gain,
+innovation) with one entry per observation after the first.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import statistics
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from flowcast.errors import DegenerateGain, InvalidParams, NonFiniteInput, SeriesTooShort
+from flowcast.errors import DataError, DegenerateGain, InvalidParams, NonFiniteInput, SeriesTooShort
 from flowcast.series import FlowSeries
 
 DEFAULT_INIT_VAR = 1e6
@@ -68,46 +68,28 @@ class FilterParams:
 
 
 @dataclass(frozen=True)
-class FilterState:
-    """Estimate and its variance, before or after an update."""
-
-    estimate: float
-    variance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "estimate", _require_finite("estimate", self.estimate))
-        object.__setattr__(self, "variance", _require_finite("variance", self.variance))
-        if self.variance < 0:
-            raise InvalidParams(f"variance must be >= 0, got {self.variance}")
-
-
-@dataclass(frozen=True)
 class FilterTrace:
-    """The seeded state, then one column entry per observation after the first.
+    """The seed posterior, then one column entry per observation after the first.
 
-    forecasts are the measurement-space one-step-ahead predictions, each
-    made before its observation was absorbed; estimates and variances are
-    the posterior state (state space); gains and innovations are each
-    update's blend weight and measurement residual.
+    initial_estimate and initial_variance are the state after absorbing
+    the first observation. forecasts are the measurement-space one-step-ahead
+    predictions, each made before its observation was absorbed; estimates
+    and variances are the posterior state (state space); gains and
+    innovations are each update's blend weight and measurement residual.
     """
 
-    initial_state: FilterState
+    initial_estimate: float
+    initial_variance: float
     forecasts: tuple[float, ...]
     estimates: tuple[float, ...]
     variances: tuple[float, ...]
     gains: tuple[float, ...]
     innovations: tuple[float, ...]
 
-    @property
-    def final_state(self) -> FilterState:
-        """Posterior after the last observation, the state forecast_next extends."""
-        return FilterState(self.estimates[-1], self.variances[-1])
-
 
 class NoiseEstimate(NamedTuple):
     process_var: float
     measurement_var: float
-    transition: float
 
 
 def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_INIT_VAR) -> FilterTrace:
@@ -160,20 +142,23 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
     # Arithmetic on inf or nan gives inf or nan, and a non-finite variance
     # makes the gain and so the estimate nan: once a measurement or an
     # overflow makes the state non-finite it stays so, and checking the
-    # last posterior (FilterState raises NonFiniteInput) covers every bin.
-    FilterState(estimates[-1], variances[-1])
+    # last posterior covers every bin.
+    _require_finite("estimate", estimates[-1])
+    _require_finite("variance", variances[-1])
     return FilterTrace(
-        FilterState(estimates[0], variances[0]),
+        estimates[0],
+        variances[0],
         *(tuple(column[1:]) for column in (forecasts, estimates, variances, gains, innovations)),
     )
 
 
-def forecast_next(state: FilterState, params: FilterParams, horizon: int) -> list[float]:
-    """Measurement-space point forecasts for the next `horizon` steps."""
+def forecast_next(estimate: float, params: FilterParams, horizon: int) -> list[float]:
+    """Measurement-space point forecasts for the next `horizon` steps from
+    the last posterior estimate (state space)."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     out = []
-    x = state.estimate
+    x = estimate
     for _ in range(horizon):
         x = params.transition * x
         out.append(params.measurement_scale * x)
@@ -181,25 +166,25 @@ def forecast_next(state: FilterState, params: FilterParams, horizon: int) -> lis
 
 
 def estimate_noise(series: FlowSeries) -> NoiseEstimate:
-    """Method-of-moments defaults for an unparameterized series.
+    """Method-of-moments defaults for an unparameterized series, under a
+    random-walk transition.
 
-    Random-walk transition (1.0); measurement variance is half the sample
-    variance of first differences. Process variance is always the floor,
-    1e-6 times the value variance: it is not estimated from the data, so
-    the filter stays close to a running mean. A constant series falls back
-    to symmetric 1e-9 floors. Sample (n-1) variances throughout;
-    deterministic given the series.
+    Measurement variance is half the sample variance of first differences.
+    Process variance is always the floor, 1e-6 times the value variance: it
+    is not estimated from the data, so the filter stays close to a running
+    mean. A constant series falls back to symmetric 1e-9 floors. Sample
+    (n-1) variances throughout; deterministic given the series. A variance
+    beyond the float range raises DataError.
     """
     values = series.values
     if len(values) < 3:
         raise SeriesTooShort(f"need at least 3 observations, got {len(values)}")
 
-    values_var = statistics.variance(values)
-    if values_var == 0:
-        return NoiseEstimate(CONSTANT_SERIES_FLOOR, CONSTANT_SERIES_FLOOR, 1.0)
-
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    diff_var = statistics.variance(diffs)
-    measurement_var = diff_var / 2.0
-    process_var = PROCESS_VAR_FLOOR_RATIO * values_var
-    return NoiseEstimate(process_var, measurement_var, 1.0)
+    try:
+        values_var = statistics.variance(values)
+        if values_var == 0:
+            return NoiseEstimate(CONSTANT_SERIES_FLOOR, CONSTANT_SERIES_FLOOR)
+        diff_var = statistics.variance([b - a for a, b in zip(values, values[1:])])
+    except OverflowError:
+        raise DataError("the noise variances of this series overflow a float; set q and r (--q, --r)") from None
+    return NoiseEstimate(PROCESS_VAR_FLOOR_RATIO * values_var, diff_var / 2.0)

@@ -27,14 +27,14 @@ from flowcast.errors import (
 from flowcast.series import FlowSeries
 
 
-class MapeBand(Enum):
+class MapeBand(str, Enum):
     HIGH_ACCURACY = "high_accuracy"  # below 10 percent
     GOOD = "good"                    # 10 to 20
     DECENT = "decent"                # 20 to 50
     BAD = "bad"                      # 50 and above
 
 
-class RmspeBand(Enum):
+class RmspeBand(str, Enum):
     ACCEPTABLE = "acceptable"                        # up to and including 25
     RECALIBRATION_REQUIRED = "recalibration_required"  # above 25
 
@@ -53,19 +53,6 @@ class DescriptiveStats:
     q1: float
     q3: float
 
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std_dev": self.std_dev,
-            "variance": self.variance,
-            "min": self.min,
-            "max": self.max,
-            "median": self.median,
-            "q1": self.q1,
-            "q3": self.q3,
-        }
-
 
 @dataclass(frozen=True)
 class EvaluationReport:
@@ -80,19 +67,6 @@ class EvaluationReport:
     rmspe_band: RmspeBand
     observed_stats: DescriptiveStats
     predicted_stats: DescriptiveStats
-
-    def to_dict(self) -> dict:
-        return {
-            "mape_percent": self.mape_percent,
-            "rmspe_percent": self.rmspe_percent,
-            "pearson_r": self.pearson_r,
-            "r_squared": self.r_squared,
-            "trend_slope": self.trend_slope,
-            "mape_band": self.mape_band.value,
-            "rmspe_band": self.rmspe_band.value,
-            "observed_stats": self.observed_stats.to_dict(),
-            "predicted_stats": self.predicted_stats.to_dict(),
-        }
 
 
 def _paired_arrays(forecast: Sequence[float], observed: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +108,8 @@ def rmspe(forecast: Sequence[float], observed: Sequence[float], denominator: str
 # The sums in pearson and trend_slope are fsums, correctly rounded, so the
 # scores do not depend on the order a library adds in (np.dot's order
 # changes with the BLAS thread count).
-def _mean(values: np.ndarray) -> float:
+def fsum_mean(values: np.ndarray) -> float:
+    """The mean, from a correctly rounded sum."""
     return math.fsum(values.tolist()) / values.size
 
 
@@ -145,8 +120,8 @@ def _centered(values: np.ndarray) -> np.ndarray:
     rounds off leaves equal non-zero deviations; the second pass removes
     them, and such a series then reads as constant.
     """
-    deviations = values - _mean(values)
-    return deviations - _mean(deviations)
+    deviations = values - fsum_mean(values)
+    return deviations - fsum_mean(deviations)
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> float:
@@ -162,12 +137,6 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
         raise ZeroVariance("correlation is undefined for a constant series")
     r = math.fsum((xc * yc).tolist()) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
-
-
-def r_squared(a: Sequence[float], b: Sequence[float]) -> float:
-    """Squared Pearson correlation."""
-    r = pearson(a, b)
-    return r * r
 
 
 def descriptive(values: Sequence[float]) -> DescriptiveStats:
@@ -212,13 +181,13 @@ def rmspe_band(rmspe_percent: float) -> RmspeBand:
     return RmspeBand.RECALIBRATION_REQUIRED
 
 
-def trend_slope(series: FlowSeries) -> float:
+def trend_slope(values: Sequence[float]) -> float:
     """Ordinary least squares slope of value against bin index, in PCU per bin."""
-    y = np.asarray(series.values, dtype=float)
+    y = np.asarray(values, dtype=float)
     if y.size < 2:
         raise SeriesTooShort(f"trend needs at least 2 bins, got {y.size}")
     xc = np.arange(y.size) - (y.size - 1) / 2.0
-    return math.fsum((xc * (y - _mean(y))).tolist()) / math.fsum((xc * xc).tolist())
+    return math.fsum((xc * (y - fsum_mean(y))).tolist()) / math.fsum((xc * xc).tolist())
 
 
 def histogram(values: Sequence[float], bin_count: int) -> list[tuple[float, int]]:
@@ -268,7 +237,7 @@ def build_report(
         rmspe_percent=rmspe_percent,
         pearson_r=r,
         r_squared=r * r,
-        trend_slope=trend_slope(observed),
+        trend_slope=trend_slope(observed.values),
         mape_band=mape_band(mape_percent),
         rmspe_band=rmspe_band(rmspe_percent),
         observed_stats=descriptive(observed_tail),

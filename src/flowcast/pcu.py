@@ -149,15 +149,6 @@ class ClassifiedCounts:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def __eq__(self, other):
-        if not isinstance(other, ClassifiedCounts):
-            return NotImplemented
-        return (
-            np.array_equal(self.timestamps, other.timestamps)
-            and np.array_equal(self.classes, other.classes)
-            and np.array_equal(self.counts, other.counts)
-        )
-
 
 def _int_column(name: str, values, dtype) -> np.ndarray:
     column = np.asarray(values)
@@ -169,20 +160,6 @@ def _int_column(name: str, values, dtype) -> np.ndarray:
     if column.size and (column.min() < limits.min or column.max() > limits.max):
         raise ValueError(f"{name} must lie in [{limits.min}, {limits.max}]")
     return column.astype(dtype, copy=False)
-
-
-def to_pcu(table: PcuTable, counts: Mapping[VehicleClass, int]) -> float:
-    """Convert a per-class count mapping to its total PCU value.
-
-    Exact for the default table: all factors are quarter-integers, so
-    the float sum carries no rounding error.
-    """
-    total = 0.0
-    for vehicle_class, count in counts.items():
-        if count < 0:
-            raise NegativeCount(f"count for {vehicle_class.label} must be >= 0, got {count}")
-        total += count * table.factor(vehicle_class)
-    return total
 
 
 def parse_vehicle_class(label: str) -> VehicleClass:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from flowcast.io import atomic_write_text
-from flowcast.metrics import DescriptiveStats, EvaluationReport, histogram
+from flowcast.metrics import DescriptiveStats, EvaluationReport, fsum_mean, histogram, trend_slope
 from flowcast.series import FlowSeries
 
 WIDTH = 640.0
@@ -241,14 +241,9 @@ def timeseries_svg(observed: Sequence[float], predicted: Sequence[float], title:
     frame = _Frame(0.0, float(max(n - 1, 1)), y_lo, y_hi)
     body = frame.axes()
 
-    x_mean = (n - 1) / 2.0
-    # The builtin sum adds left to right, as a plain loop does; numpy sums
-    # pairwise, which would change the last bits.
-    y_mean = sum(observed.tolist()) / n
-    dx = np.arange(n) - x_mean
-    sxx = sum((dx * dx).tolist())
-    slope = sum((dx * (observed - y_mean)).tolist()) / sxx if sxx else 0.0
-    intercept = y_mean - slope * x_mean
+    # A single point has no trend; its line is flat.
+    slope = trend_slope(observed) if n > 1 else 0.0
+    intercept = fsum_mean(observed) - slope * ((n - 1) / 2.0)
     trend_y0 = min(max(intercept, y_lo), y_hi)
     trend_y1 = min(max(intercept + slope * (n - 1), y_lo), y_hi)
     body.append(

@@ -11,7 +11,7 @@ import pytest
 import flowcast.cli
 from flowcast.cli import cli_main
 from flowcast.io import read_counts_csv, read_series_csv
-from flowcast.pcu import PcuTable, to_pcu
+from flowcast.pcu import PcuTable
 from flowcast.plots import PLOT_FILENAMES
 
 
@@ -58,7 +58,7 @@ class TestConvert:
         assert run_cli("convert", str(counts_csv), "--out", str(out)) == 0
         series = read_series_csv(out)
         table = PcuTable.default()
-        total = sum(to_pcu(table, {vehicle_class: count}) for _, vehicle_class, count in read_counts_csv(counts_csv).rows())
+        total = sum(count * table.factor(vehicle_class) for _, vehicle_class, count in read_counts_csv(counts_csv).rows())
         assert math.isclose(sum(series.values), total, rel_tol=1e-9)
 
     def test_custom_bin_duration(self, tmp_path, counts_csv):
@@ -95,6 +95,13 @@ class TestForecast:
         capsys.readouterr()
         assert run_cli("forecast", str(series_path), "--horizon", "2") == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_counts_csv_after_a_blank_line(self, tmp_path, counts_csv, capsys):
+        # convert and run skip blank lines before the header; so does forecast.
+        path = tmp_path / "blank_first.csv"
+        path.write_text("\n" + counts_csv.read_text())
+        assert run_cli("forecast", str(path)) == 0
+        assert capsys.readouterr().out.startswith("step,pcu\n")
 
     def test_zero_horizon_is_usage_error(self, counts_csv):
         assert run_cli("forecast", str(counts_csv), "--horizon", "0") == 1
@@ -156,6 +163,13 @@ class TestRunAndEvaluate:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["params"]["q"] == 4.0
         assert report["params"]["r"] == 100.0
+
+    def test_noise_estimate_overflow_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("bin_start,pcu\n0,1e200\n300,-1e200\n600,1e200\n900,5\n")
+        assert run_cli("evaluate", str(path), "--out-dir", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and "--q" in err
 
     def test_both_noises_zero_is_usage_error(self, tmp_path, counts_csv):
         assert run_cli("run", str(counts_csv), "--q", "0", "--r", "0", "--out-dir", str(tmp_path / "r")) == 1
@@ -221,8 +235,7 @@ class TestConfigPrecedence:
 class TestGoldenTrace:
     # sha256 of trace.csv from `simulate --preset P` then `run` with default
     # settings. trace.csv holds only pure-Python float arithmetic written
-    # with repr, so it is pinned byte for byte; report.json goes through
-    # numpy reductions and is left to the determinism tests.
+    # with repr, so it is pinned byte for byte.
     @pytest.mark.parametrize("preset, digest", [
         ("paper-like", "8f13b5a432f3887ca1bb33e59e4d2d10e6ee3241d3d1af15c0fd74b8d3830501"),
         ("steady", "d64b1b9e6121f1cf0e3d03071a866075348aadff7b4afcb3836feb055190495f"),
@@ -230,6 +243,16 @@ class TestGoldenTrace:
     ])
     def test_trace_csv_digest(self, tmp_path, preset, digest):
         assert _preset_digests(tmp_path, preset)["trace.csv"] == digest
+
+    # sha256 of report.json from the same runs, which pins its key order,
+    # indentation and float formatting as well as its values.
+    @pytest.mark.parametrize("preset, digest", [
+        ("paper-like", "817505f51f3c6e8aab92e9a1c51974eab422d564f4b188af73d53908e67f931e"),
+        ("steady", "77b3834fb9fd62fb81c285b281d06be5b0989fd83ac24f18df83431e1ec31f96"),
+        ("volatile", "c955550f8a565dc9cfef7a0f488d228e8d37e1fbb7116ceb4e75d5783a114866"),
+    ])
+    def test_report_json_digest(self, tmp_path, preset, digest):
+        assert _preset_digests(tmp_path, preset)["report.json"] == digest
 
     # sha256 of the five figures from the same runs, in PLOT_FILENAMES
     # order. A preset has 36 bins, so every point keeps its own mark and

@@ -8,23 +8,22 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import flowcast.io
 from flowcast.config import RunConfig, load_config_file, resolve_config
 from flowcast.errors import ConfigError, EmptyInput, MalformedRow, SeriesTooShort, UnknownVehicleClass
 from flowcast.io import (
     atomic_write_text,
+    counts_csv_text,
     read_counts_csv,
     read_series_csv,
     report_json_text,
+    series_csv_text,
     sniff_input_kind,
     trace_csv_text,
-    write_counts_csv,
     write_report,
-    write_series_csv,
 )
 from flowcast.kalman import FilterParams, filter_series
 from flowcast.metrics import build_report
-from flowcast.pcu import ClassifiedCounts, PcuTable, VehicleClass, to_pcu
+from flowcast.pcu import ClassifiedCounts, PcuTable, VehicleClass
 from flowcast.series import FlowSeries, aggregate
 
 import oracles
@@ -39,7 +38,7 @@ def write(tmp_path, name, text):
 class TestReadCountsCsv:
     def test_single_row(self, tmp_path):
         path = write(tmp_path, "counts.csv", "timestamp,vehicle_class,count\n0,Bus,2\n")
-        assert read_counts_csv(path) == ClassifiedCounts.from_rows([(0, VehicleClass.BUS, 2)])
+        assert list(read_counts_csv(path).rows()) == [(0, VehicleClass.BUS, 2)]
 
     def test_header_only_is_empty_input(self, tmp_path):
         path = write(tmp_path, "counts.csv", "timestamp,vehicle_class,count\n")
@@ -151,19 +150,33 @@ class TestReadCountsCsv:
         with pytest.raises(MalformedRow, match="unreadable CSV"):
             read_counts_csv(write(tmp_path, "counts.csv", text))
 
-    def test_rows_span_line_chunks(self, tmp_path, monkeypatch):
-        rows = [f"{t},{label},{t % 7}" for t in range(300) for label in ("bus", "Car")]
-        path = write(tmp_path, "counts.csv", "\r\n".join(["timestamp,vehicle_class,count"] + rows) + "\r\n")
-        whole = read_counts_csv(path)
-        monkeypatch.setattr(flowcast.io, "_CHUNK_CHARS", 16)
-        assert read_counts_csv(path) == whole
-        assert whole.timestamps.tolist() == [t for t in range(300) for _ in range(2)]
-        assert whole.counts.tolist() == [t % 7 for t in range(300) for _ in range(2)]
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            # A quoted newline puts one row on two file lines.
+            ('"0\n",bus,1\n0,hovercraft,1\n', 4),
+            # Only CR and LF end a line; a form feed stays inside its field.
+            ("0,bus,1\n0\x0c,hovercraft,1\n", 3),
+        ],
+        ids=["quoted-newline", "form-feed"],
+    )
+    def test_line_numbers_are_file_lines(self, tmp_path, rows, line):
+        path = write(tmp_path, "counts.csv", "timestamp,vehicle_class,count\n" + rows)
+        with pytest.raises(UnknownVehicleClass) as excinfo:
+            read_counts_csv(path)
+        assert excinfo.value.line == line
 
     def test_not_utf8_is_malformed(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_bytes(b"\xff\xfe\x00garbage")
         with pytest.raises(MalformedRow):
+            read_counts_csv(path)
+
+    def test_not_utf8_deep_in_the_file_is_malformed(self, tmp_path):
+        # The file is decoded as its rows are read, not all at once.
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"timestamp,vehicle_class,count\n" + b"0,bus,1\n" * 20_000 + b"0,\xff,1\n")
+        with pytest.raises(MalformedRow, match="not valid UTF-8"):
             read_counts_csv(path)
 
 
@@ -234,20 +247,11 @@ class TestCountsAgainstOracle:
         assert [v.hex() for v in series.values] == [v.hex() for v in expected]
 
 
-@given(st.text(alphabet="ab,\r\n\x0b\x0c\x1c\x85\u2028"), st.integers(0, 6))
-def test_chunked_lines_match_splitlines(text, chunk_chars):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flowcast.io, "_CHUNK_CHARS", chunk_chars)
-        chunks = list(flowcast.io._chunks(text))
-    assert "".join(chunks) == text
-    assert [line for chunk in chunks for line in chunk.splitlines()] == text.splitlines()
-
-
 class TestSeriesCsv:
     def test_round_trip(self, tmp_path):
         series = FlowSeries(600, 300, (3.25, 0.0, 12.5))
         path = tmp_path / "series.csv"
-        write_series_csv(series, path)
+        atomic_write_text(path, series_csv_text(series))
         assert read_series_csv(path) == series
 
     def test_uneven_spacing_rejected(self, tmp_path):
@@ -291,10 +295,10 @@ class TestCountsCsvWriter:
             (3000, VehicleClass.CYCLE_RICKSHAW, 5),
         ])
         path = tmp_path / "counts.csv"
-        write_counts_csv(records, path)
+        atomic_write_text(path, counts_csv_text(records))
         reread = read_counts_csv(path)
-        assert reread == records
-        total = sum(to_pcu(table, {vehicle_class: count}) for _, vehicle_class, count in reread.rows())
+        assert list(reread.rows()) == list(records.rows())
+        total = sum(count * table.factor(vehicle_class) for _, vehicle_class, count in reread.rows())
         assert math.isclose(total, 2 * 3.0 + 3 * 0.75 + 5 * 2.0, rel_tol=1e-12)
 
 

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowcast.errors import DegenerateGain, InvalidParams, NonFiniteInput, SeriesTooShort
-from flowcast.kalman import FilterParams, FilterState, estimate_noise, filter_series, forecast_next
+from flowcast.errors import DataError, DegenerateGain, InvalidParams, NonFiniteInput, SeriesTooShort
+from flowcast.kalman import FilterParams, estimate_noise, filter_series, forecast_next
 from flowcast.series import FlowSeries
 
 from oracles import kalman_filter, running_means, sample_variance
@@ -31,7 +31,7 @@ def steps(trace, p):
     The prior is derived as the filter derives it: m_t times the previous
     estimate, and m_t^2 times the previous variance plus q.
     """
-    previous = trace.initial_state.estimate, trace.initial_state.variance
+    previous = trace.initial_estimate, trace.initial_variance
     for forecast, estimate, variance, k, innovation in zip(*columns(trace)):
         prior = p.transition * previous[0], p.transition * p.transition * previous[1] + p.process_var
         yield (*prior, forecast, estimate, variance, k, innovation)
@@ -42,15 +42,15 @@ class TestInitState:
     # The seeded state is what absorbing the first value leaves behind.
     def test_mean_flow_sample(self):
         trace = filter_series(series(488.33, 500), params(r=1.0), p0=1.0)
-        assert trace.initial_state == FilterState(488.33, 0.5)
+        assert (trace.initial_estimate, trace.initial_variance) == (488.33, 0.5)
 
     def test_zero(self):
         trace = filter_series(series(0, 0), params(r=1.0), p0=0.0)
-        assert trace.initial_state == FilterState(0.0, 0.0)
+        assert (trace.initial_estimate, trace.initial_variance) == (0.0, 0.0)
 
     def test_measurement_inversion(self):
         trace = filter_series(series(10, 10), params(r=4.0, m_m=2.0), p0=1.0)
-        assert trace.initial_state == FilterState(5.0, 0.5)
+        assert (trace.initial_estimate, trace.initial_variance) == (5.0, 0.5)
 
     def test_rejects_non_finite(self):
         for first in (float("nan"), float("inf")):
@@ -123,7 +123,6 @@ class TestUpdate:
     def test_even_blend(self):
         trace = filter_series(series(100, 110), params(q=0.5, r=1.0), p0=1.0)
         assert columns(trace) == ((100.0,), (105.0,), (0.5,), (0.5,), (10.0,))
-        assert trace.final_state == FilterState(105.0, 0.5)
 
     def test_certain_prior_ignores_measurement(self):
         trace = filter_series(series(100, 110), params(q=0.0, r=1.0), p0=0.0)
@@ -134,7 +133,7 @@ class TestUpdate:
         # p * r / (p + r) rounds above p for this p0; the update keeps p.
         p0 = 1.9081128851953353e-20
         trace = filter_series(series(0, 0), params(q=0.0, r=3.0), p0=p0)
-        assert trace.initial_state.variance == p0
+        assert trace.initial_variance == p0
         assert trace.variances == (p0,)
 
     def test_zero_innovation_keeps_estimate(self):
@@ -161,7 +160,7 @@ class TestFilterSeries:
         # with r -> 0 both observations are treated as near-exact and the
         # posterior lands on their average rather than the newer one.
         trace = filter_series(series(100, 110), params(q=0.0, r=1e-9), p0=1e6)
-        assert trace.final_state.estimate == pytest.approx(105.0, rel=1e-9)
+        assert trace.estimates[-1] == pytest.approx(105.0, rel=1e-9)
 
     def test_diffuse_prior_recovers_running_means(self):
         trace = filter_series(series(100, 110, 120), params(q=0.0, r=1.0), p0=1e12)
@@ -191,7 +190,7 @@ class TestFilterSeries:
             m_t, m_m, p0 = rng.uniform(0.9, 1.1), rng.uniform(0.5, 2.0), rng.uniform(0.0, 1e5)
             trace = filter_series(series(*values), params(q=q, r=r, m_t=m_t, m_m=m_m), p0=p0)
             seed, want = kalman_filter(values, p0, q, r, m_t, m_m)
-            got = [(trace.initial_state.estimate, trace.initial_state.variance), *zip(*columns(trace))]
+            got = [(trace.initial_estimate, trace.initial_variance), *zip(*columns(trace))]
             assert len(got) == len(want) + 1
             for got_row, want_row in zip(got, [seed, *want]):
                 assert got_row[:4] == pytest.approx(want_row[:4], rel=1e-9)
@@ -217,46 +216,50 @@ class TestFilterSeries:
 
 class TestForecastNext:
     def test_identity_transition(self):
-        assert forecast_next(FilterState(100.0, 1.0), params(), 3) == [100.0, 100.0, 100.0]
+        assert forecast_next(100.0, params(), 3) == [100.0, 100.0, 100.0]
 
     def test_growth_transition(self):
-        got = forecast_next(FilterState(100.0, 1.0), params(m_t=1.1), 2)
+        got = forecast_next(100.0, params(m_t=1.1), 2)
         assert got == pytest.approx([110.0, 121.0], rel=1e-12)
 
     def test_zero_state(self):
-        assert forecast_next(FilterState(0.0, 0.0), params(m_t=3.0, q=1.0), 1) == [0.0]
+        assert forecast_next(0.0, params(m_t=3.0, q=1.0), 1) == [0.0]
 
     def test_measurement_scale_applies(self):
-        assert forecast_next(FilterState(5.0, 0.0), params(m_m=2.0), 1) == [10.0]
+        assert forecast_next(5.0, params(m_m=2.0), 1) == [10.0]
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
-            forecast_next(FilterState(0.0, 0.0), params(), 0)
+            forecast_next(0.0, params(), 0)
 
 
 class TestEstimateNoise:
     def test_constant_series_falls_back_to_floors(self):
-        q, r, m_t = estimate_noise(series(100, 100, 100, 100))
-        assert (q, r, m_t) == (1e-9, 1e-9, 1.0)
+        assert estimate_noise(series(100, 100, 100, 100)) == (1e-9, 1e-9)
 
     def test_alternating_series_hand_value(self):
         values = [0.0, 2.0, 0.0, 2.0, 0.0, 2.0]
-        q, r, m_t = estimate_noise(series(*values))
+        q, r = estimate_noise(series(*values))
         diffs = [b - a for a, b in zip(values, values[1:])]
         assert r == pytest.approx(sample_variance(diffs) / 2.0, rel=1e-12)
         assert q == pytest.approx(1e-6 * sample_variance(values), rel=1e-12)
-        assert m_t == 1.0
 
     def test_scaling_law(self):
         values = [5.0, 9.0, 4.0, 8.0, 11.0, 3.0]
-        q1, r1, _ = estimate_noise(series(*values))
-        q2, r2, _ = estimate_noise(series(*(100.0 * v for v in values)))
+        q1, r1 = estimate_noise(series(*values))
+        q2, r2 = estimate_noise(series(*(100.0 * v for v in values)))
         assert q2 == pytest.approx(q1 * 100.0**2, rel=1e-9)
         assert r2 == pytest.approx(r1 * 100.0**2, rel=1e-9)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             estimate_noise(series(1, 2))
+
+    def test_overflow_is_data_error(self):
+        # The exact sample variance of these values is finite but above the
+        # float maximum.
+        with pytest.raises(DataError, match="overflow"):
+            estimate_noise(series(1e200, -1e200, 1e200, 5))
 
 
 class TestParamsValidation:

@@ -1,7 +1,6 @@
-"""Vehicle class parsing and PCU conversion."""
+"""Vehicle class parsing, PCU tables and the columnar count store."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from flowcast.errors import NegativeCount, UnknownVehicleClass
 from flowcast.pcu import (
@@ -11,7 +10,6 @@ from flowcast.pcu import (
     PcuTable,
     VehicleClass,
     parse_vehicle_class,
-    to_pcu,
 )
 
 TABLE = PcuTable.default()
@@ -40,28 +38,12 @@ def test_exactly_nine_classes():
     assert set(EXPECTED_FACTORS) == set(VehicleClass)
 
 
-def test_to_pcu_empty_mapping_is_zero():
-    assert to_pcu(TABLE, {}) == 0.0
 
 
-def test_to_pcu_single_bus():
-    assert to_pcu(TABLE, {VehicleClass.BUS: 1}) == 3.0
 
 
-def test_to_pcu_composite_hand_value():
-    counts = {
-        VehicleClass.BUS: 2,
-        VehicleClass.PRIVATE_CAR: 5,
-        VehicleClass.CYCLE_RICKSHAW: 10,
-        VehicleClass.MOTORCYCLE: 4,
-    }
-    # 2*3 + 5*1 + 10*2 + 4*0.75
-    assert to_pcu(TABLE, counts) == 34.0
 
 
-def test_to_pcu_rejects_negative_count():
-    with pytest.raises(NegativeCount):
-        to_pcu(TABLE, {VehicleClass.BUS: -1})
 
 
 def test_classified_count_rejects_negative():
@@ -77,14 +59,6 @@ class TestClassifiedCounts:
         assert counts.classes.tolist() == [8, 0, 5]
         assert (counts.timestamps.dtype, counts.classes.dtype, counts.counts.dtype) == ("int64", "int8", "int64")
         assert len(counts) == 3
-
-    def test_equality_compares_every_column(self):
-        counts = ClassifiedCounts([0, 300], [0, 1], [1, 2])
-        assert counts == ClassifiedCounts([0, 300], [0, 1], [1, 2])
-        assert counts != ClassifiedCounts([0, 301], [0, 1], [1, 2])
-        assert counts != ClassifiedCounts([0, 300], [0, 2], [1, 2])
-        assert counts != ClassifiedCounts([0, 300], [0, 1], [1, 3])
-        assert counts != [(0, VehicleClass.BUS, 1), (300, VehicleClass.TRUCK, 2)]
 
     @pytest.mark.parametrize(
         "columns,message",
@@ -147,27 +121,3 @@ def test_table_rejects_nonpositive_factor():
     with pytest.raises(ValueError):
         PcuTable(bad)
 
-
-counts_mappings = st.dictionaries(
-    st.sampled_from(list(VehicleClass)),
-    st.integers(min_value=0, max_value=10**6),
-    max_size=9,
-)
-
-
-@given(counts_mappings, counts_mappings)
-def test_to_pcu_linearity(a, b):
-    merged = {cls: a.get(cls, 0) + b.get(cls, 0) for cls in set(a) | set(b)}
-    # Quarter-integer factors make the float sums exact, so equality is exact.
-    assert to_pcu(TABLE, a) + to_pcu(TABLE, b) == to_pcu(TABLE, merged)
-
-
-@given(counts_mappings, st.sampled_from(list(VehicleClass)), st.integers(min_value=1, max_value=100))
-def test_to_pcu_monotone_in_counts(counts, cls, extra):
-    bumped = dict(counts)
-    bumped[cls] = bumped.get(cls, 0) + extra
-    assert to_pcu(TABLE, bumped) >= to_pcu(TABLE, counts)
-
-
-def test_to_pcu_all_zero_counts():
-    assert to_pcu(TABLE, {cls: 0 for cls in VehicleClass}) == 0.0

@@ -87,7 +87,7 @@ def test_timeseries_trend_line_rises_with_growing_flow():
     # Pixel y grows downward, so a rising trend means y2 < y1.
     assert x2 > x1
     assert y2 < y1
-    assert trend_slope(FlowSeries(0, 300, tuple(observed))) > 0
+    assert trend_slope(observed) > 0
 
 
 def test_timeseries_trend_line_flat_for_constant_flow():
