@@ -126,14 +126,19 @@ def _parse(key: str, parse: Callable[[str], Any], text: str) -> Any:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Read a flat key=value file; '#' starts a comment line."""
+    """Read a flat key=value file; '#' starts a comment line.
+
+    Only LF ends a line, and a CR before it is dropped, so a form feed or
+    a Unicode line separator stays inside its line.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

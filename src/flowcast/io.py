@@ -111,8 +111,12 @@ def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
 def _header(records: Iterator[tuple[int, list[str]]], path: str | Path) -> tuple[int, list[str]]:
     """Line number and normalized fields of the first non-blank row."""
     for line, header in records:
-        return line, [h.strip().lower() for h in header]
+        return line, _normalized(header)
     raise EmptyInput(f"{path}: file is empty")
+
+
+def _normalized(header: list[str]) -> list[str]:
+    return [h.strip().lower() for h in header]
 
 
 def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
@@ -132,8 +136,21 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[i
 def read_counts_csv(path: str | Path) -> ClassifiedCounts:
     """Parse a classified-count CSV, preserving row order.
 
-    Timestamps and counts must fit in a signed 64-bit integer.
+    Timestamps and counts must fit in a signed 64-bit integer. A file in
+    the plain form (see _read_counts_plain), which flowcast simulate
+    writes, is parsed in bulk; any other file is read row by row, with the
+    same result and the same errors.
     """
+    try:
+        return _read_counts_plain(path)
+    except _NotPlain:
+        pass  # read again outside the handler, once the bulk reader's columns are freed
+    return _read_counts_rows(path)
+
+
+def _read_counts_rows(path: str | Path) -> ClassifiedCounts:
+    """read_counts_csv for any file, a row at a time: the reference reader,
+    and the only one that words an error or numbers a line."""
     timestamps = array("q")
     classes = array("b")
     counts = array("q")
@@ -171,6 +188,175 @@ def read_counts_csv(path: str | Path) -> ClassifiedCounts:
         np.frombuffer(classes, dtype=np.int8),
         np.frombuffer(counts, dtype=np.int64),
     )
+
+
+# Plain counts files are read this many bytes at a time. A block's numpy
+# temporaries take several times its size: on a year of counts, 1 MiB
+# blocks were no faster and held 6 MB more at peak.
+_BLOCK_BYTES = 1 << 18
+# The plain form's limits: every number of at most 18 digits fits in an
+# int64, and a label of at most 32 bytes fits in four 8-byte words.
+_MAX_DIGITS = 18
+_MAX_LABEL = 32
+_BOM = b"\xef\xbb\xbf"
+_POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # keeps a word's first n bytes
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+class _NotPlain(Exception):
+    """The file is not in the plain form; _read_counts_rows reads it instead."""
+
+
+def _read_counts_plain(path: str | Path) -> ClassifiedCounts:
+    """read_counts_csv for a file in the plain form, parsed with numpy a block at a time.
+
+    The plain form is an optional UTF-8 BOM, then lines that each end in
+    an LF, maybe after a CR (the last may lack its LF). Blank lines are
+    skipped. The first other line is a header that _header accepts, in
+    printable ASCII. Every later one is a row of exactly three fields: an
+    optional '-' and 1-18 ASCII digits, a label of at most 32 printable
+    ASCII bytes that parse_vehicle_class accepts, and 1-18 ASCII digits.
+    There is at least one row. csv.reader and int() read such a file just
+    as this does. Any other file raises _NotPlain.
+
+    The columns are sized by counting the file's LFs first, so the rows
+    are never copied from one array to a larger one.
+    """
+    with open(path, "rb") as handle:
+        capacity = sum(block.count(b"\n") for block in iter(lambda: handle.read(_BLOCK_BYTES), b""))
+        handle.seek(0)
+        header = handle.readline(_BLOCK_BYTES).removeprefix(_BOM)
+        while header in (b"\n", b"\r\n"):
+            header = handle.readline(_BLOCK_BYTES)
+        text = header.removesuffix(b"\n").removesuffix(b"\r").decode("latin-1")
+        if not (text.isascii() and text.isprintable() and _normalized(text.split(",")) == COUNTS_HEADER):
+            raise _NotPlain
+        columns = (np.empty(capacity, np.int64), np.empty(capacity, np.int8), np.empty(capacity, np.int64))
+        class_index: dict[bytes, int] = {}  # raw label -> index into VEHICLE_CLASSES
+        rows = 0
+        for data, words in _line_blocks(handle):
+            parts = _plain_rows(data, words, class_index)
+            end = rows + len(parts[0])
+            if end > capacity:  # the file grew after its LFs were counted
+                raise _NotPlain
+            for column, part in zip(columns, parts):
+                column[rows:end] = part
+            rows = end
+    if not rows:
+        raise _NotPlain
+    return ClassifiedCounts(*(column[:rows] for column in columns))
+
+
+def _line_blocks(handle) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rest of the file as blocks of whole lines, about _BLOCK_BYTES each.
+
+    Each block comes as its bytes, a uint8 array ending in an LF, and the
+    8-byte little-endian word that starts at every byte offset, a stride-1
+    view of the same buffer that reads up to _MAX_LABEL bytes past the
+    block. Both are reused for the next block. A last line without an LF
+    is given one, and a line longer than a block raises _NotPlain.
+    """
+    buffer = bytearray(_BLOCK_BYTES + _MAX_LABEL)
+    data = np.frombuffer(buffer, np.uint8)
+    words = np.ndarray((len(buffer) - 7,), "<u8", buffer, 0, (1,))
+    kept = 0  # bytes of an unfinished line at the start of the buffer
+    while read := handle.readinto(memoryview(buffer)[kept:_BLOCK_BYTES]):
+        end = kept + read
+        cut = buffer.rfind(b"\n", 0, end) + 1
+        if cut:
+            yield data[:cut], words
+            buffer[: end - cut] = buffer[cut:end]
+        elif end == _BLOCK_BYTES:
+            raise _NotPlain
+        kept = end - cut
+    if kept:
+        buffer[kept] = ord("\n")
+        yield data[: kept + 1], words
+
+
+def _plain_rows(data: np.ndarray, words: np.ndarray, class_index: dict[bytes, int]):
+    """Timestamps, class indices and counts of the rows in one block from _line_blocks.
+
+    Raises _NotPlain unless every line of the block is blank or a plain row.
+    """
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends -= data[ends - 1] == ord("\r")
+    filled = ends > starts
+    starts, ends = starts[filled], ends[filled]
+    commas = np.flatnonzero(data == ord(","))
+    if len(commas) != 2 * len(starts):
+        raise _NotPlain
+    # The commas in order, two a line. The fields around them must be
+    # digits or a printable label, so a line with other than two commas,
+    # or a CR anywhere but before its LF, fails their checks.
+    first, second = commas.reshape(-1, 2).T
+    classes = _class_indices(data, words, first + 1, second, class_index)
+    counts = _decimals(data, second + 1, ends)
+    negative = data[starts] == ord("-")
+    timestamps = _decimals(data, starts + negative, first)
+    np.negative(timestamps, out=timestamps, where=negative)
+    return timestamps, classes, counts
+
+
+def _decimals(data: np.ndarray, begin: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The number written in data[begin:stop] for each row, parsed a digit
+    position at a time from the right; raises _NotPlain unless each field
+    is 1 to _MAX_DIGITS ASCII digits."""
+    length = stop - begin
+    if length.size and (length.min() < 1 or length.max() > _MAX_DIGITS):
+        raise _NotPlain
+    value = np.zeros(len(stop), np.int64)
+    position = stop - 1
+    for power in _POWERS[: length.max(initial=0)]:
+        digit = data[position] - np.uint8(ord("0"))  # uint8, so a byte below '0' wraps above 9
+        digit[position < begin] = 0
+        if digit.max() > 9:
+            raise _NotPlain
+        value += np.multiply(digit, power, dtype=np.int64)
+        position -= 1
+    return value
+
+
+def _class_indices(data: np.ndarray, words: np.ndarray, begin: np.ndarray, stop: np.ndarray,
+                   class_index: dict[bytes, int]) -> np.ndarray:
+    """The VEHICLE_CLASSES index of the label in data[begin:stop] for each row.
+
+    A label's exact key is its length and its bytes as up to four words.
+    Rows are grouped by a hash of the key, and every row is checked
+    against its group's first row, so a hash collision raises _NotPlain
+    rather than mislabel a row. Each distinct label is parsed once per
+    file, through class_index.
+    """
+    length = stop - begin
+    if length.max(initial=0) > _MAX_LABEL:
+        raise _NotPlain
+    key = [length.astype(np.uint64)]
+    for offset in range(0, length.max(initial=0), 8):
+        key.append(words[begin + offset] & _LOW_BYTES[np.clip(length - offset, 0, 8)])
+    hashed = key[0]
+    for word in key[1:]:
+        hashed = (hashed ^ word) * _MIX
+    _, first, group = np.unique(hashed, return_index=True, return_inverse=True)
+    for part in key:
+        if (part != part[first][group]).any():
+            raise _NotPlain
+    labels = [data[begin[row] : stop[row]].tobytes() for row in first]
+    return np.array([_class_of(label, class_index) for label in labels], np.int8)[group]
+
+
+def _class_of(label: bytes, class_index: dict[bytes, int]) -> int:
+    index = class_index.get(label)
+    if index is None:
+        text = label.decode("latin-1")
+        if not (text.isascii() and text.isprintable()):
+            raise _NotPlain
+        try:
+            index = class_index[label] = VEHICLE_CLASSES.index(parse_vehicle_class(text))
+        except UnknownVehicleClass:
+            raise _NotPlain from None
+    return index
 
 
 def read_series_csv(path: str | Path) -> FlowSeries:
