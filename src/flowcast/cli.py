@@ -138,7 +138,7 @@ def _cmd_convert(args: argparse.Namespace) -> None:
         atomic_write_text(args.out, series_csv_text(series))
         _note(f"wrote {len(series)} bins to {args.out}")
     else:
-        sys.stdout.write(series_csv_text(series))
+        sys.stdout.writelines(series_csv_text(series))
 
 
 def _load_series(path: str, config: RunConfig) -> FlowSeries:

@@ -73,7 +73,8 @@ class SeriesTooShort(DataError):
 
 
 class ZeroVariance(DataError):
-    """A correlation was requested on a constant series."""
+    """A correlation was requested on a constant series, or on one whose
+    variances are too small for their product to be a float."""
 
 
 class LengthMismatch(DataError):

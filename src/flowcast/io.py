@@ -11,6 +11,14 @@ a naive ISO timestamp is taken as UTC, any other offset is rejected).
 Floats are written with repr so re-parsing loses nothing. All writes go
 through a temp file and rename, so an interrupted run never leaves a
 partial file.
+
+Counts and series CSVs in a plain form (no quotes, ISO timestamps or
+other bytes outside printable ASCII) are read in bulk, and any other file
+row by row; the two readers give the same result. The series and trace
+CSVs are written 4096 lines at a time. For each block the float columns
+are taken as one numpy array, repr runs once for each distinct bit
+pattern in it (so -0.0 and 0.0 keep their own text), and the lines are
+joined from those strings; the bytes are those of a per-row f-string.
 """
 
 from __future__ import annotations
@@ -22,9 +30,8 @@ import math
 import os
 from array import array
 from datetime import datetime, timezone
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -64,10 +71,6 @@ def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _float_repr(value: float) -> str:
-    return repr(float(value))
 
 
 def parse_timestamp(text: str, line: int = 0) -> int:
@@ -205,7 +208,7 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 class _NotPlain(Exception):
-    """The file is not in the plain form; _read_counts_rows reads it instead."""
+    """The file is not in the plain form; the row loop reads it instead."""
 
 
 def _read_counts_plain(path: str | Path) -> ClassifiedCounts:
@@ -226,12 +229,7 @@ def _read_counts_plain(path: str | Path) -> ClassifiedCounts:
     with open(path, "rb") as handle:
         capacity = sum(block.count(b"\n") for block in iter(lambda: handle.read(_BLOCK_BYTES), b""))
         handle.seek(0)
-        header = handle.readline(_BLOCK_BYTES).removeprefix(_BOM)
-        while header in (b"\n", b"\r\n"):
-            header = handle.readline(_BLOCK_BYTES)
-        text = header.removesuffix(b"\n").removesuffix(b"\r").decode("latin-1")
-        if not (text.isascii() and text.isprintable() and _normalized(text.split(",")) == COUNTS_HEADER):
-            raise _NotPlain
+        _plain_header(handle, COUNTS_HEADER)
         columns = (np.empty(capacity, np.int64), np.empty(capacity, np.int8), np.empty(capacity, np.int64))
         class_index: dict[bytes, int] = {}  # raw label -> index into VEHICLE_CLASSES
         rows = 0
@@ -246,6 +244,18 @@ def _read_counts_plain(path: str | Path) -> ClassifiedCounts:
     if not rows:
         raise _NotPlain
     return ClassifiedCounts(*(column[:rows] for column in columns))
+
+
+def _plain_header(handle, expected_header: list[str]) -> None:
+    """Read past the blank lines and the header at the start of the file,
+    raising _NotPlain unless the header is printable ASCII that _header
+    reads as expected_header."""
+    header = handle.readline(_BLOCK_BYTES).removeprefix(_BOM)
+    while header in (b"\n", b"\r\n"):
+        header = handle.readline(_BLOCK_BYTES)
+    text = header.removesuffix(b"\n").removesuffix(b"\r").decode("latin-1")
+    if not (text.isascii() and text.isprintable() and _normalized(text.split(",")) == expected_header):
+        raise _NotPlain
 
 
 def _line_blocks(handle) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -360,7 +370,22 @@ def _class_of(label: bytes, class_index: dict[bytes, int]) -> int:
 
 
 def read_series_csv(path: str | Path) -> FlowSeries:
-    """Parse an aggregated series CSV; bins must be evenly spaced, so two rows at least."""
+    """Parse an aggregated series CSV; bins must be evenly spaced, so two rows at least.
+
+    A file in the plain form (see _read_series_plain), which flowcast
+    convert writes, is parsed in bulk; any other file is read row by row,
+    with the same result and the same errors.
+    """
+    try:
+        return _read_series_plain(path)
+    except _NotPlain:
+        pass  # read again outside the handler, once the bulk reader's values are freed
+    return _read_series_rows(path)
+
+
+def _read_series_rows(path: str | Path) -> FlowSeries:
+    """read_series_csv for any file, a row at a time: the reference reader,
+    and the only one that words an error or numbers a line."""
     lines: list[int] = []
     starts: list[int] = []
     values: list[float] = []
@@ -387,6 +412,70 @@ def read_series_csv(path: str | Path) -> FlowSeries:
     return FlowSeries(starts[0], spacing, tuple(values))
 
 
+def _read_series_plain(path: str | Path) -> FlowSeries:
+    """read_series_csv for a valid file in the plain form, read a block at a time.
+
+    The plain form has the line ends, blank lines and header of the plain
+    counts form (see _read_counts_plain), and then at least two rows, each
+    of exactly two fields: an optional '-' and 1-18 ASCII digits, and a
+    finite number that float() reads, in printable ASCII without a quote.
+    The bin starts must be evenly spaced and increasing. csv.reader,
+    int() and float() read such a file just as this does, and the values
+    are parsed by float() itself, so they are the same floats. Any other
+    file raises _NotPlain.
+    """
+    values: list[float] = []
+    bounds: list[int] = []  # the first and last bin start of each block with rows
+    steps: set[int] = set()  # every difference between consecutive bin starts
+    with open(path, "rb") as handle:
+        _plain_header(handle, SERIES_HEADER)
+        for data, _ in _line_blocks(handle):
+            stamps, block_values = _plain_series_rows(data)
+            if len(stamps):
+                values += block_values
+                bounds += (int(stamps[0]), int(stamps[-1]))
+                steps.update(np.unique(np.diff(stamps)).tolist())
+    steps.update(first - last for last, first in zip(bounds[1::2], bounds[2::2]))
+    if len(values) < 2 or len(steps) != 1 or min(steps) <= 0:
+        raise _NotPlain
+    return FlowSeries(bounds[0], steps.pop(), values)
+
+
+def _plain_series_rows(data: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Bin starts and values of the rows in one block from _line_blocks.
+
+    Raises _NotPlain unless every line of the block is blank or a plain
+    row with a finite value.
+    """
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    crlf = data[ends - 1] == ord("\r")
+    ends -= crlf
+    # Every byte must be printable ASCII other than a quote, but for the
+    # LFs and the CRs just before them.
+    special = (data < 0x20) | (data > 0x7E) | (data == ord('"'))
+    if np.count_nonzero(special) != len(ends) + np.count_nonzero(crlf):
+        raise _NotPlain
+    filled = ends > starts
+    starts, ends = starts[filled], ends[filled]
+    # The commas in order, one a row. The digits before each must start
+    # at its row's start, so a row with other than one comma fails their
+    # check.
+    commas = np.flatnonzero(data == ord(","))
+    if len(commas) != len(starts):
+        raise _NotPlain
+    negative = data[starts] == ord("-")
+    stamps = _decimals(data, starts + negative, commas)
+    np.negative(stamps, out=stamps, where=negative)
+    raw = data.tobytes()
+    try:
+        values = [float(raw[begin:stop]) for begin, stop in zip((commas + 1).tolist(), ends.tolist())]
+    except ValueError:
+        raise _NotPlain from None
+    if not np.isfinite(values).all():
+        raise _NotPlain
+    return stamps, values
+
 def sniff_input_kind(path: str | Path) -> str:
     """'counts' or 'series', judged by the header: the first non-blank row."""
     line, header = _header(_records(path), path)
@@ -403,44 +492,74 @@ def counts_csv_text(counts: ClassifiedCounts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def series_csv_text(series: FlowSeries) -> str:
-    lines = [",".join(SERIES_HEADER)]
-    lines += [f"{t},{_float_repr(v)}" for t, v in zip(series.bin_starts(), series.values)]
-    return "\n".join(lines) + "\n"
+# Series and trace CSVs are made this many lines at a time, so the whole
+# text is never held in memory.
+_BLOCK_LINES = 4096
+
+
+def _float_csv_blocks(head: list[str], starts: range, columns: Callable[[int, int], np.ndarray]) -> Iterator[str]:
+    """The head lines, then one line for each bin start with the floats of
+    its row, as blocks of _BLOCK_LINES lines, each ending in a newline.
+
+    columns(lo, hi) gives the float columns of rows lo to hi - 1 as the
+    rows of a 2-D array. A row's line is its start, then each column's
+    float by repr, joined by commas.
+    """
+    for lo in range(-len(head), len(starts), _BLOCK_LINES):
+        lo, hi = max(lo, 0), lo + _BLOCK_LINES
+        yield "\n".join([*head, *_float_rows(starts[lo:hi], columns(lo, hi))]) + "\n"
+        head = []
+
+
+def _float_rows(starts: range, block: np.ndarray) -> Iterator[str]:
+    """The lines of one block of _float_csv_blocks.
+
+    repr runs once for each distinct float in the block. The floats are
+    told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    texts = np.array([repr(value) for value in distinct.view(np.float64).tolist()], dtype=object)
+    # The inverse is flat in numpy 1.x and shaped like its input in 2.x.
+    fields = texts[inverse.reshape(block.shape)]
+    return map(",".join, zip(map(str, starts), *(column.tolist() for column in fields)))
+
+
+def series_csv_text(series: FlowSeries) -> Iterator[str]:
+    """Yield the series CSV in blocks of lines."""
+    return _float_csv_blocks(
+        [",".join(SERIES_HEADER)], series.bin_starts(), lambda lo, hi: np.array([series.values[lo:hi]])
+    )
 
 
 def trace_csv_text(series: FlowSeries, trace: FilterTrace, params: FilterParams) -> Iterator[str]:
-    """Yield the lines, without terminators, of the per-bin observed,
-    forecast and filtered values in measurement space.
+    """Yield trace.csv in blocks of lines: the per-bin observed, forecast
+    and filtered values in measurement space, with each update's gain and
+    innovation.
 
     The first bin seeded the filter, so its forecast, gain and innovation
     columns are empty.
     """
     scale = params.measurement_scale
     starts = series.bin_starts()
-    yield ",".join(TRACE_HEADER)
-    yield f"{starts[0]},{_float_repr(series.values[0])},,{_float_repr(scale * trace.initial_estimate)},,"
-    columns = zip(starts[1:], series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations)
-    for start, observed, forecast, estimate, gain, innovation in columns:
-        yield (
-            f"{start},{_float_repr(observed)},{_float_repr(forecast)},"
-            f"{_float_repr(scale * estimate)},{_float_repr(gain)},{_float_repr(innovation)}"
-        )
+    first = f"{starts[0]},{series.values[0]!r},,{scale * trace.initial_estimate!r},,"
 
+    def columns(lo: int, hi: int) -> np.ndarray:
+        block = np.array([
+            series.values[lo + 1 : hi + 1],
+            trace.forecasts[lo:hi],
+            trace.estimates[lo:hi],
+            trace.gains[lo:hi],
+            trace.innovations[lo:hi],
+        ])
+        with np.errstate(all="ignore"):  # overflow gives inf, as float arithmetic does
+            block[2] *= scale
+        return block
 
-# trace.csv is written this many lines at a time, so the whole file is
-# never held in memory.
-_BLOCK_LINES = 4096
-
-
-def _blocks(lines: Iterator[str]) -> Iterator[str]:
-    """The lines joined _BLOCK_LINES at a time, each block ending in a newline."""
-    while block := list(islice(lines, _BLOCK_LINES)):
-        yield "\n".join(block) + "\n"
+    return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:], columns)
 
 
 def write_trace_csv(series: FlowSeries, trace: FilterTrace, params: FilterParams, path: str | Path) -> None:
-    atomic_write_text(Path(path), _blocks(trace_csv_text(series, trace, params)))
+    atomic_write_text(Path(path), trace_csv_text(series, trace, params))
 
 
 def report_json_text(report: EvaluationReport, params: FilterParams, init_var: float) -> str:

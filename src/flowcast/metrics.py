@@ -93,16 +93,20 @@ def _percent_errors(forecast, observed, denominator: str) -> np.ndarray:
     return (f - o) / denom
 
 
+def _percent_scores(forecast, observed, denominator: str) -> tuple[float, float]:
+    """MAPE and RMSPE, from one array of percent errors."""
+    errors = _percent_errors(forecast, observed, denominator)
+    return float(100.0 * np.mean(np.abs(errors))), float(100.0 * math.sqrt(float(np.mean(errors * errors))))
+
+
 def mape(forecast: Sequence[float], observed: Sequence[float], denominator: str = "forecast") -> float:
     """Mean absolute percent error: (100/n) * sum(|f - o| / |denom|)."""
-    errors = _percent_errors(forecast, observed, denominator)
-    return float(100.0 * np.mean(np.abs(errors)))
+    return _percent_scores(forecast, observed, denominator)[0]
 
 
 def rmspe(forecast: Sequence[float], observed: Sequence[float], denominator: str = "forecast") -> float:
     """Root mean square percent error: 100 * sqrt(mean(((f - o) / denom)^2))."""
-    errors = _percent_errors(forecast, observed, denominator)
-    return float(100.0 * math.sqrt(float(np.mean(errors * errors))))
+    return _percent_scores(forecast, observed, denominator)[1]
 
 
 # The sums in pearson and trend_slope are fsums, correctly rounded, so the
@@ -135,7 +139,10 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     syy = math.fsum((yc * yc).tolist())
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("correlation is undefined for a constant series")
-    r = math.fsum((xc * yc).tolist()) / math.sqrt(sxx * syy)
+    scale = math.sqrt(sxx * syy)
+    if scale == 0.0:
+        raise ZeroVariance("correlation is undefined: the product of the variances underflows")
+    r = math.fsum((xc * yc).tolist()) / scale
     return max(-1.0, min(1.0, r))
 
 
@@ -184,10 +191,14 @@ def rmspe_band(rmspe_percent: float) -> RmspeBand:
 def trend_slope(values: Sequence[float]) -> float:
     """Ordinary least squares slope of value against bin index, in PCU per bin."""
     y = np.asarray(values, dtype=float)
-    if y.size < 2:
-        raise SeriesTooShort(f"trend needs at least 2 bins, got {y.size}")
-    xc = np.arange(y.size) - (y.size - 1) / 2.0
-    return math.fsum((xc * (y - fsum_mean(y))).tolist()) / math.fsum((xc * xc).tolist())
+    n = y.size
+    if n < 2:
+        raise SeriesTooShort(f"trend needs at least 2 bins, got {n}")
+    xc = np.arange(n) - (n - 1) / 2.0
+    # The sum of xc * xc is n(n^2 - 1)/12, and int true division rounds it
+    # correctly. For n up to 94,906,266 every xc * xc is exact, so this is
+    # also what math.fsum gives over them.
+    return math.fsum((xc * (y - fsum_mean(y))).tolist()) / (n * (n * n - 1) / 12)
 
 
 def histogram(values: Sequence[float], bin_count: int) -> list[tuple[float, int]]:
@@ -228,18 +239,18 @@ def build_report(
             f"expected {len(observed.values) - 1} predictions for {len(observed.values)} bins, "
             f"got {len(predictions)}"
         )
-    observed_tail = observed.values[1:]
-    mape_percent = mape(predictions, observed_tail, denominator)
-    rmspe_percent = rmspe(predictions, observed_tail, denominator)
-    r = pearson(predictions, observed_tail)
+    values = np.asarray(observed.values, dtype=float)
+    f, o = _paired_arrays(predictions, values[1:])
+    mape_percent, rmspe_percent = _percent_scores(f, o, denominator)
+    r = pearson(f, o)
     return EvaluationReport(
         mape_percent=mape_percent,
         rmspe_percent=rmspe_percent,
         pearson_r=r,
         r_squared=r * r,
-        trend_slope=trend_slope(observed.values),
+        trend_slope=trend_slope(values),
         mape_band=mape_band(mape_percent),
         rmspe_band=rmspe_band(rmspe_percent),
-        observed_stats=descriptive(observed_tail),
-        predicted_stats=descriptive(predictions),
+        observed_stats=descriptive(o),
+        predicted_stats=descriptive(f),
     )

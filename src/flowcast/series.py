@@ -41,8 +41,8 @@ class FlowSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def bin_starts(self) -> list[int]:
-        return [self.start_time + i * self.bin_duration for i in range(len(self.values))]
+    def bin_starts(self) -> range:
+        return range(self.start_time, self.start_time + len(self.values) * self.bin_duration, self.bin_duration)
 
     def tail(self) -> "FlowSeries":
         """The series without its first bin (the bins that get forecasts)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from datetime import datetime, timedelta, timezone
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 def running_means(values: Sequence[float]) -> list[float]:
@@ -151,6 +151,21 @@ def kalman_filter(
         x, p, k = absorb(x, p, z)
         steps.append((forecast, x, p, k, z - forecast))
     return seed, steps
+
+
+def trace_csv_lines(series, trace, scale: float) -> Iterator[str]:
+    """The lines of trace.csv, without terminators, one f-string a row.
+
+    series needs start_time, bin_duration and values; trace the seed
+    estimate and the forecast, estimate, gain and innovation columns.
+    Every float is written by repr, estimates times scale.
+    """
+    starts = [series.start_time + i * series.bin_duration for i in range(len(series.values))]
+    yield "bin_start,observed,forecast,filtered,gain,innovation"
+    yield f"{starts[0]},{series.values[0]!r},,{scale * trace.initial_estimate!r},,"
+    columns = zip(starts[1:], series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations)
+    for start, observed, forecast, estimate, gain, innovation in columns:
+        yield f"{start},{observed!r},{forecast!r},{scale * estimate!r},{gain!r},{innovation!r}"
 
 
 # Normalized label (lower case; spaces, hyphens and underscores removed)

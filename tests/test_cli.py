@@ -61,6 +61,16 @@ class TestConvert:
         total = sum(count * table.factor(vehicle_class) for _, vehicle_class, count in read_counts_csv(counts_csv).rows())
         assert math.isclose(sum(series.values), total, rel_tol=1e-9)
 
+    @pytest.mark.parametrize("preset", ["paper-like", "steady", "volatile"])
+    def test_file_and_stdout_hold_the_same_bytes(self, tmp_path, capsys, preset):
+        counts = tmp_path / "counts.csv"
+        out = tmp_path / "series.csv"
+        assert run_cli("simulate", "--preset", preset, "--out", str(counts)) == 0
+        assert run_cli("convert", str(counts), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("convert", str(counts)) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_custom_bin_duration(self, tmp_path, counts_csv):
         out = tmp_path / "series.csv"
         assert run_cli("convert", str(counts_csv), "--bin-duration", "600", "--out", str(out)) == 0

@@ -7,6 +7,7 @@ import re
 import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from flowcast.errors import ConfigError, EmptyInput, FlowcastError, MalformedRow
 from flowcast.io import (
     _read_counts_plain,
     _read_counts_rows,
+    _read_series_plain,
+    _read_series_rows,
     atomic_write_text,
     counts_csv_text,
     read_counts_csv,
@@ -28,7 +31,7 @@ from flowcast.io import (
     trace_csv_text,
     write_report,
 )
-from flowcast.kalman import FilterParams, filter_series
+from flowcast.kalman import FilterParams, FilterTrace, filter_series
 from flowcast.metrics import build_report
 from flowcast.pcu import ClassifiedCounts, PcuTable, VehicleClass
 from flowcast.series import FlowSeries, aggregate
@@ -432,6 +435,158 @@ class TestSeriesCsv:
             sniff_input_kind(other)
 
 
+_SERIES_HEADERS = ["bin_start,pcu", "Bin_Start , PCU", " BIN_START,pcu "]
+
+
+@st.composite
+def _pcu_text(draw):
+    """A finite number as float() reads it, in one of the spellings files use."""
+    value = draw(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-4, 123.25]))
+    return draw(st.sampled_from([
+        repr(value), f"{value:.2f}", f"{value:e}", f" {value!r}", f"{value!r}  ", f"{int(value)}", "-0", "1_0", "+2", ".5", "5.",
+    ]))
+
+
+@st.composite
+def _plain_series_files(draw):
+    """The bytes of a series CSV in the plain form the bulk reader accepts."""
+    spacing = draw(st.integers(1, 3600) | st.integers(1, 10**15))
+    count = draw(st.integers(2, 30))
+    start = draw(st.integers(-(10**17), 10**17 - spacing * count))
+    lines = [""] * draw(st.integers(0, 2)) + [draw(st.sampled_from(_SERIES_HEADERS))]
+    for stamp in range(start, start + spacing * count, spacing):
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        digits = "0" * draw(st.integers(0, 18 - len(str(abs(stamp))))) + str(abs(stamp))
+        sign = "-" if stamp < 0 or (stamp == 0 and draw(st.booleans())) else ""
+        lines.append(f"{sign}{digits},{draw(_pcu_text())}")
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + "".join(line + end for line, end in zip(lines, ends))).encode("utf-8")
+
+
+def _series_outcome(read, path):
+    """The series read, with each value's bits, or the class, line and
+    message of the error raised."""
+    try:
+        series = read(path)
+    except FlowcastError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return series.start_time, series.bin_duration, [value.hex() for value in series.values]
+
+
+# One byte-level change to a plain series file, as _MUTATIONS for counts.
+_SERIES_MUTATIONS = {
+    "quote": (None, _insert(b'"')),
+    "nul": (None, _insert(b"\x00")),
+    "lone-cr": (None, _insert(b"\r")),
+    "tab": (None, _insert(b"\t")),
+    "non-ascii": (None, _insert(b"\xc3\xa9")),
+    "not-utf8": (None, _insert(b"\xff")),
+    "comma": (None, _insert(b",")),
+    "space-in-number": (rb"\d", _insert(b" ")),
+    "underscore-in-number": (rb"\d", lambda raw, at: raw[: at + 1] + b"_" + raw[at + 1 :]),
+    "dropped-comma": (rb",", lambda raw, at: raw[:at] + raw[at + 1 :]),
+    "19-digit-stamp": (rb"(?m)^-?\d+", lambda raw, at: raw[:at] + b"1" + b"0" * 18 + raw[at:].lstrip(b"-0123456789")),
+    "iso-stamp": (rb"(?m)^-?\d+,", lambda raw, at: raw[:at] + b"2024-01-01T00:00:00Z" + raw[raw.index(b",", at) :]),
+    "non-finite": (rb",", lambda raw, at: raw[: at + 1] + b"nan" + raw[at + 1 :].lstrip(b" +-.0123456789e_")),
+    "overflow": (rb",", lambda raw, at: raw[: at + 1] + b"1e999" + raw[at + 1 :].lstrip(b" +-.0123456789e_")),
+    "empty-value": (rb",", lambda raw, at: raw[: at + 1] + raw[at + 1 :].lstrip(b" +-.0123456789e_")),
+    "shifted-stamp": (rb"(?m)^-?\d", lambda raw, at: raw[:at] + b"7" + raw[at:]),
+    "repeated-row": (rb"(?m)^-?\d", lambda raw, at: raw[:at] + raw[at : raw.index(b"\n", at) + 1] + raw[at:]
+                     if b"\n" in raw[at:] else raw + b"\n" + raw[at:]),
+    "header-typo": (rb"(?i)pcu", lambda raw, at: raw[:at] + b"x" + raw[at + 1 :]),
+}
+
+
+class TestPlainSeriesReader:
+    """The bulk reader for plain series files against the row loop, which is the reference."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_plain_series_files())
+    def test_plain_files_read_as_the_row_loop_reads_them(self, tmp_path, raw):
+        path = tmp_path / "series.csv"
+        path.write_bytes(raw)
+        assert _series_outcome(_read_series_plain, path) == _series_outcome(_read_series_rows, path)
+
+    def test_rows_straddling_blocks(self, tmp_path):
+        rng = random.Random(10)
+        lines, size, stamp = ["bin_start,pcu"], 0, 1_704_067_200
+        while size < 3 << 20:
+            value = rng.choice([repr(rng.uniform(0, 500)), str(rng.randrange(300)), "-0.0", "0.0", " 7.25 "])
+            line = f"{stamp},{value}"
+            lines.append(line + "\r" if rng.random() < 0.1 else line)
+            lines += [""] * (rng.random() < 0.01)
+            size += len(line) + 1
+            stamp += 300
+        path = tmp_path / "series.csv"
+        path.write_bytes("\n".join(lines).encode())
+        assert path.stat().st_size > 8 * flowcast.io._BLOCK_BYTES
+        assert _series_outcome(_read_series_plain, path) == _series_outcome(_read_series_rows, path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xef\xbb\xbfbin_start,pcu\n0,1.5\n300,2.5\n",
+            b"bin_start,pcu\r\n0,1.5\r\n300,2.5\r\n",
+            b"\n\r\nbin_start,pcu\n\n0,1.5\n\r\n\n300,2.5\n\n",
+            b"bin_start,pcu\n0,1.5\n300,2.5",
+            b"bin_start,pcu\n-0,-0.0\n300,0.0\n600,-0\n",
+            b"bin_start,pcu\n-600,1_0\n-300,1_0.5\n",
+            b"bin_start,pcu\n0, 1.5\n300,2.5  \n",
+        ],
+        ids=["bom", "crlf", "blank-lines", "no-final-lf", "signed-zeros", "underscores", "padded-values"],
+    )
+    def test_plain_cases_are_read_in_bulk(self, tmp_path, raw):
+        path = tmp_path / "series.csv"
+        path.write_bytes(raw)
+        assert _series_outcome(_read_series_plain, path) == _series_outcome(_read_series_rows, path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'bin_start,pcu\n0,"1.5"\n300,2.5\n',
+            b"bin_start,pcu\n0,1.5\r300,2.5\n",
+            b"bin_start,pcu\n0,1.5\t\n300,2.5\n",
+            b"bin_start,pcu\n0,1.5\n300,2.5\xc2\xa0\n",
+            b"bin_start,pcu\n0,nan\n300,2.5\n",
+            b"bin_start,pcu\n0,1.5\n300,-inf\n",
+            b"bin_start,pcu\n1970-01-01T00:00:00Z,1.5\n300,2.5\n",
+            b"bin_start,pcu\n1_0,1.5\n310,2.5\n",
+            b"bin_start,pcu\n0,1.5\n300,2.5\n700,3.5\n",
+            b"bin_start,pcu\n300,1.5\n300,2.5\n",
+            b"bin_start,pcu\n600,1.5\n300,2.5\n",
+            b"bin_start,pcu\n0,1.5\n",
+            b"bin_start,pcu\n\n",
+            b"bin_start,pcu\n0,1.5,2\n300,2.5\n",
+            b"bin_start,pcu\n0,1.5\n300\n",
+            b"bin_start,pcu\n0,\n300,2.5\n",
+            b"bin_start,pcu,extra\n0,1.5\n300,2.5\n",
+        ],
+        ids=["quote", "lone-cr", "tab", "non-ascii", "nan", "inf", "iso-stamp", "underscore-stamp", "uneven",
+             "repeated-stamp", "decreasing", "one-row", "no-rows", "three-fields", "one-field", "empty-value",
+             "bad-header"],
+    )
+    def test_other_files_are_read_by_the_row_loop(self, tmp_path, raw):
+        path = tmp_path / "series.csv"
+        path.write_bytes(raw)
+        with pytest.raises(flowcast.io._NotPlain):
+            _read_series_plain(path)
+        assert _series_outcome(read_series_csv, path) == _series_outcome(_read_series_rows, path)
+
+    @pytest.mark.parametrize("kind", sorted(_SERIES_MUTATIONS))
+    @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=_plain_series_files(), data=st.data())
+    def test_mutated_files_read_as_the_row_loop_reads_them(self, tmp_path, kind, raw, data):
+        pattern, mutate = _SERIES_MUTATIONS[kind]
+        places = [match.start() for match in re.finditer(pattern, raw)] if pattern else range(len(raw) + 1)
+        mutated = mutate(raw, data.draw(st.sampled_from(places)))
+        path = tmp_path / "series.csv"
+        path.write_bytes(mutated)
+        assert _series_outcome(read_series_csv, path) == _series_outcome(_read_series_rows, path)
+
+
 class TestCountsCsvWriter:
     def test_round_trip_conserves_pcu(self, tmp_path):
         table = PcuTable.default()
@@ -492,7 +647,7 @@ class TestReportWriting:
 
     def test_trace_csv_layout(self):
         series, params, trace, report = _report_fixture()
-        lines = list(trace_csv_text(series, trace, params))
+        lines = "".join(trace_csv_text(series, trace, params)).splitlines()
         assert lines[0] == "bin_start,observed,forecast,filtered,gain,innovation"
         assert len(lines) == 1 + len(series)
         first = lines[1].split(",")
@@ -535,6 +690,121 @@ class TestReportWriting:
         series, params, trace, report = _report_fixture()
         with pytest.raises(OSError):
             write_report(report, trace, series, params, 1e6, "/proc/flowcast-denied")
+
+
+# Floats whose text is easy to get wrong: signed zeros, subnormals, the
+# ends of the float range, and both sides of the points where repr
+# switches to exponent form (1e16 and 1e-4).
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e16, math.nextafter(1e16, 0), math.nextafter(1e16, math.inf), -1e16,
+    1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), -1e-4, 0.1, 1.0, 100.0, 1e22,
+]
+_TRACE_LENGTHS = [2, 3, 4095, 4096, 4097, 4098, 8191, 8193]  # bins, so lines are one more
+
+
+def _blocks_of(lines):
+    """Lines joined 4096 at a time, each block ending in a newline, as the
+    per-row writer made them."""
+    lines = iter(lines)
+    while block := list(islice(lines, 4096)):
+        yield "\n".join(block) + "\n"
+
+
+def _pooled_trace(length, pool, seed, run, scale, transition=1.0):
+    """A series and trace of the given length whose floats all come from
+    pool, in runs of run equal values, as one FilterTrace holds them."""
+    rng = np.random.default_rng(seed)
+
+    def column(size):
+        picks = rng.integers(len(pool), size=-(-size // run)).repeat(run)[:size]
+        return tuple(pool[i] for i in picks.tolist())
+
+    series = FlowSeries(int(rng.integers(-10**9, 10**9)), int(rng.integers(1, 10**6)), column(length))
+    trace = FilterTrace(pool[0], 1.0, *(column(length - 1) for _ in range(5)))
+    params = FilterParams(process_var=1.0, measurement_var=1.0, transition=transition, measurement_scale=scale)
+    return series, trace, params
+
+
+_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(), st.floats(-1e3, 1e3))
+
+
+class TestTraceWriter:
+    """The block writer of trace.csv against the per-row formatter in oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.sampled_from(_TRACE_LENGTHS),
+        pool=st.lists(_FLOAT, min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        run=st.sampled_from([1, 1, 3, 5000]),
+        scale=st.sampled_from([1.0, 1.0, -1.0, 0.5, 1.7, 1e-300, 3e300]),
+    )
+    def test_blocks_match_the_per_row_formatter(self, length, pool, seed, run, scale):
+        series, trace, params = _pooled_trace(length, pool, seed, run, scale)
+        expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, scale)))
+        assert list(trace_csv_text(series, trace, params)) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        length=st.sampled_from(_TRACE_LENGTHS),
+        pool=st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-4, 3.0]) | st.floats(-1e6, 1e6), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        transition=st.sampled_from([1.0, 0.97, -1.0, 1.03]),
+        scale=st.sampled_from([1.0, 1.7, -0.5]),
+    )
+    def test_filtered_traces_match_the_per_row_formatter(self, length, pool, seed, transition, scale):
+        # With m_t != 1 a filtered value is no longer the next row's forecast.
+        rng = np.random.default_rng(seed)
+        series = FlowSeries(0, 300, [pool[i] for i in rng.integers(len(pool), size=length).tolist()])
+        params = FilterParams(process_var=2.0, measurement_var=5.0, transition=transition, measurement_scale=scale)
+        trace = filter_series(series, params, p0=1e6)
+        expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, scale)))
+        assert list(trace_csv_text(series, trace, params)) == expected
+
+    @pytest.mark.parametrize("length", _TRACE_LENGTHS)
+    def test_signed_zeros_keep_their_sign(self, length):
+        # Every block holds both zeros in observed and innovation: a writer
+        # that told floats apart by value rather than by bits would write
+        # one of them with the other's sign.
+        pattern = [0.0, -0.0, 1e16, -0.0, 1e-4, 0.0, 5e-324]
+
+        def column(size, shift):
+            return tuple(pattern[(i + shift) % len(pattern)] for i in range(size))
+
+        series = FlowSeries(0, 300, column(length, 0))
+        trace = FilterTrace(-0.0, 1.0, *(column(length - 1, shift) for shift in range(1, 6)))
+        params = FilterParams(process_var=1.0, measurement_var=1.0)
+        expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, 1.0)))
+        assert list(trace_csv_text(series, trace, params)) == expected
+
+    def test_written_file_spans_several_blocks(self, tmp_path):
+        series = FlowSeries(1_704_067_200, 300, [float(v % 97) for v in range(10_000)])
+        params = FilterParams(process_var=0.5, measurement_var=4.0, transition=0.99, measurement_scale=1.25)
+        trace = filter_series(series, params)
+        path = tmp_path / "trace.csv"
+        flowcast.io.write_trace_csv(series, trace, params, path)
+        expected = "\n".join(oracles.trace_csv_lines(series, trace, 1.25)) + "\n"
+        assert path.read_text() == expected
+        assert len(expected.splitlines()) > 2 * flowcast.io._BLOCK_LINES
+
+    def test_memory_peak_on_a_year_is_a_few_blocks(self):
+        # The writer converts one block of each column at a time, never a
+        # whole column. On this year of bins it peaks at 2.0 MB, and the
+        # per-row writer it replaced (oracles.trace_csv_lines in blocks
+        # of 4096 lines) at 8.1 MB, most of it a list of every bin start.
+        rng = np.random.default_rng(12)
+        series = FlowSeries(1_704_067_200, 300, np.round(rng.gamma(4.0, 25.0, 105_120), 2).tolist())
+        params = FilterParams(process_var=2.0, measurement_var=300.0)
+        trace = filter_series(series, params)
+        tracemalloc.start()
+        try:
+            for _ in trace_csv_text(series, trace, params):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
 
 
 class TestConfig:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -94,6 +95,11 @@ class TestPearson:
     def test_single_pair_rejected(self):
         with pytest.raises(LengthMismatch):
             pearson([1.0], [2.0])
+
+    def test_underflowing_variances_raise_zero_variance(self):
+        # Each sum of squares is about 1e-285, and their product underflows to 0.
+        with pytest.raises(ZeroVariance, match="underflows"):
+            pearson([0.0, 4.979100994143697e-143], [0.0, 4.979100994143697e-143])
 
     @given(st.integers(2, 80).flatmap(lambda n: st.tuples(
         st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
@@ -220,6 +226,12 @@ class TestTrendSlope:
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))
     def test_equals_fsum_oracle_exactly(self, values):
+        assert trend_slope(values) == oracles.ols_slope(values)
+
+    @pytest.mark.parametrize("n", [105_120, 1_000_000])
+    def test_equals_fsum_oracle_exactly_at_scale(self, n):
+        # The denominator is a closed form; the oracle sums its terms.
+        values = np.random.default_rng(n).gamma(4.0, 25.0, n).tolist()
         assert trend_slope(values) == oracles.ols_slope(values)
 
     def test_reversal_negates_slope(self):
