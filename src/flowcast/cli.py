@@ -31,7 +31,7 @@ from flowcast.io import (
     write_report,
     write_trace_csv,
 )
-from flowcast.kalman import FilterParams, FilterTrace, estimate_noise, filter_series, forecast_next
+from flowcast.kalman import FilterParams, estimate_noise, filter_series, forecast_next
 from flowcast.metrics import build_report
 from flowcast.plots import render_plots
 from flowcast.series import FlowSeries, aggregate
@@ -88,21 +88,10 @@ def _filter_params(config: RunConfig, series: FlowSeries) -> FilterParams:
         if measurement_var is None:
             measurement_var = estimated.measurement_var
     try:
-        return FilterParams(
-            process_var=process_var,
-            measurement_var=measurement_var,
-            transition=config.transition,
-            measurement_scale=config.measurement_scale,
-        )
+        return FilterParams(process_var, measurement_var, config.transition)
     except InvalidParams as exc:
         # Both noises explicitly configured to zero is a usage problem.
         raise ConfigError(str(exc)) from None
-
-
-def _predictions(trace: FilterTrace, params: FilterParams, mode: str) -> tuple[float, ...]:
-    if mode == "predicted":
-        return trace.forecasts
-    return tuple(params.measurement_scale * estimate for estimate in trace.estimates)
 
 
 def _note(message: str) -> None:
@@ -154,7 +143,7 @@ def _cmd_forecast(args: argparse.Namespace) -> None:
     params = _filter_params(config, series)
     trace = filter_series(series, params, config.init_var)
     if args.out:
-        write_trace_csv(series, trace, params, args.out)
+        write_trace_csv(series, trace, args.out)
         _note(f"wrote trace for {len(series)} bins to {args.out}")
     values = forecast_next(trace.estimates[-1], params, args.horizon)
     sys.stdout.write("step,pcu\n")
@@ -167,7 +156,7 @@ def _evaluate_series(series: FlowSeries, config: RunConfig) -> None:
         raise ConfigError("an output directory is required (--out-dir or out_dir in the config)")
     params = _filter_params(config, series)
     trace = filter_series(series, params, config.init_var)
-    predictions = _predictions(trace, params, config.evaluate_mode)
+    predictions = trace.forecasts if config.evaluate_mode == "predicted" else trace.estimates
     report = build_report(series, predictions, config.percent_denominator)
     paths = write_report(report, trace, series, params, config.init_var, config.out_dir)
     paths += render_plots(series.tail(), predictions, report, config.out_dir, config.histogram_bins)

@@ -31,7 +31,6 @@ class RunConfig:
     bin_duration: int = DEFAULT_BIN_DURATION
     init_var: float = DEFAULT_INIT_VAR
     transition: float = 1.0
-    measurement_scale: float = 1.0
     process_var: float | None = None            # None means estimate
     measurement_var: float | None = None        # None means estimate
     percent_denominator: str = "forecast"
@@ -47,8 +46,6 @@ class RunConfig:
             raise ConfigError(f"p0 must be finite and >= 0, got {self.init_var}")
         if not math.isfinite(self.transition):
             raise ConfigError(f"m_t must be finite, got {self.transition}")
-        if not math.isfinite(self.measurement_scale) or self.measurement_scale == 0:
-            raise ConfigError(f"m_m must be finite and nonzero, got {self.measurement_scale}")
         for key, value in (("q", self.process_var), ("r", self.measurement_var)):
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and >= 0, got {value}")
@@ -103,7 +100,6 @@ SETTINGS = (
     Setting("bin_duration", "bin_duration", int, "SECONDS", "aggregation bin length (default 300)"),
     Setting("p0", "init_var", float, "VAR", "initial estimate variance (default 1e6)"),
     Setting("m_t", "transition", float, "X", "state transition multiplier (default 1)"),
-    Setting("m_m", "measurement_scale", float, "X", "state-to-measurement multiplier (default 1)"),
     Setting("q", "process_var", float, "VAR", "process noise variance (default: estimated from the series)"),
     Setting("r", "measurement_var", float, "VAR", "measurement noise variance (default: estimated from the series)"),
     Setting("percent_denominator", "percent_denominator", str, None,

@@ -285,16 +285,25 @@ def _line_blocks(handle) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield data[: kept + 1], words
 
 
+def _plain_lines(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The starts and ends of the filled lines in one block from _line_blocks,
+    an end leaving out the CR before its LF, and the count of LF bytes and
+    of CR bytes before an LF."""
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    crlf = data[ends - 1] == ord("\r")
+    terminators = len(ends) + np.count_nonzero(crlf)
+    ends -= crlf
+    filled = ends > starts
+    return starts[filled], ends[filled], terminators
+
+
 def _plain_rows(data: np.ndarray, words: np.ndarray, class_index: dict[bytes, int]):
     """Timestamps, class indices and counts of the rows in one block from _line_blocks.
 
     Raises _NotPlain unless every line of the block is blank or a plain row.
     """
-    ends = np.flatnonzero(data == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    ends -= data[ends - 1] == ord("\r")
-    filled = ends > starts
-    starts, ends = starts[filled], ends[filled]
+    starts, ends, _ = _plain_lines(data)
     commas = np.flatnonzero(data == ord(","))
     if len(commas) != 2 * len(starts):
         raise _NotPlain
@@ -447,17 +456,12 @@ def _plain_series_rows(data: np.ndarray) -> tuple[np.ndarray, list[float]]:
     Raises _NotPlain unless every line of the block is blank or a plain
     row with a finite value.
     """
-    ends = np.flatnonzero(data == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    crlf = data[ends - 1] == ord("\r")
-    ends -= crlf
+    starts, ends, terminators = _plain_lines(data)
     # Every byte must be printable ASCII other than a quote, but for the
     # LFs and the CRs just before them.
     special = (data < 0x20) | (data > 0x7E) | (data == ord('"'))
-    if np.count_nonzero(special) != len(ends) + np.count_nonzero(crlf):
+    if np.count_nonzero(special) != terminators:
         raise _NotPlain
-    filled = ends > starts
-    starts, ends = starts[filled], ends[filled]
     # The commas in order, one a row. The digits before each must start
     # at its row's start, so a row with other than one comma fails their
     # check.
@@ -475,6 +479,7 @@ def _plain_series_rows(data: np.ndarray) -> tuple[np.ndarray, list[float]]:
     if not np.isfinite(values).all():
         raise _NotPlain
     return stamps, values
+
 
 def sniff_input_kind(path: str | Path) -> str:
     """'counts' or 'series', judged by the header: the first non-blank row."""
@@ -531,35 +536,30 @@ def series_csv_text(series: FlowSeries) -> Iterator[str]:
     )
 
 
-def trace_csv_text(series: FlowSeries, trace: FilterTrace, params: FilterParams) -> Iterator[str]:
+def trace_csv_text(series: FlowSeries, trace: FilterTrace) -> Iterator[str]:
     """Yield trace.csv in blocks of lines: the per-bin observed, forecast
-    and filtered values in measurement space, with each update's gain and
-    innovation.
+    and filtered values, with each update's gain and innovation.
 
     The first bin seeded the filter, so its forecast, gain and innovation
     columns are empty.
     """
-    scale = params.measurement_scale
     starts = series.bin_starts()
-    first = f"{starts[0]},{series.values[0]!r},,{scale * trace.initial_estimate!r},,"
+    first = f"{starts[0]},{series.values[0]!r},,{trace.initial_estimate!r},,"
 
     def columns(lo: int, hi: int) -> np.ndarray:
-        block = np.array([
+        return np.array([
             series.values[lo + 1 : hi + 1],
             trace.forecasts[lo:hi],
             trace.estimates[lo:hi],
             trace.gains[lo:hi],
             trace.innovations[lo:hi],
         ])
-        with np.errstate(all="ignore"):  # overflow gives inf, as float arithmetic does
-            block[2] *= scale
-        return block
 
     return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:], columns)
 
 
-def write_trace_csv(series: FlowSeries, trace: FilterTrace, params: FilterParams, path: str | Path) -> None:
-    atomic_write_text(Path(path), trace_csv_text(series, trace, params))
+def write_trace_csv(series: FlowSeries, trace: FilterTrace, path: str | Path) -> None:
+    atomic_write_text(Path(path), trace_csv_text(series, trace))
 
 
 def report_json_text(report: EvaluationReport, params: FilterParams, init_var: float) -> str:
@@ -567,7 +567,8 @@ def report_json_text(report: EvaluationReport, params: FilterParams, init_var: f
     document.update(dataclasses.asdict(report))
     document["params"] = {
         "m_t": params.transition,
-        "m_m": params.measurement_scale,
+        # Always 1.0: schema 1 pins this key order, and perfbench/checks.py reads the key.
+        "m_m": 1.0,
         "q": params.process_var,
         "r": params.measurement_var,
         "p0": init_var,
@@ -588,5 +589,5 @@ def write_report(
     report_path = out_dir / REPORT_FILENAME
     trace_path = out_dir / TRACE_FILENAME
     atomic_write_text(report_path, report_json_text(report, params, init_var))
-    write_trace_csv(series, trace, params, trace_path)
+    write_trace_csv(series, trace, trace_path)
     return [report_path, trace_path]

@@ -1,20 +1,20 @@
-"""Scalar linear-Gaussian Kalman filter over a flow series.
+"""Scalar linear-Gaussian Kalman filter over a flow series: a local-level
+model (Harvey 1989) with a transition multiplier.
 
 State model:        x[t+1] = transition * x[t] + w,   w ~ N(0, process_var)
-Measurement model:  z[t] = measurement_scale * x[t] + v,   v ~ N(0, measurement_var)
+Measurement model:  z[t] = x[t] + v,   v ~ N(0, measurement_var)
 
 Each step blends the predicted state with the new measurement through the
-gain k = p * s / (s^2 * p + r), so the posterior is
-posterior = prior + k * (z - s * prior). Relatively large measurement
-noise pushes the estimate toward the model; relatively small measurement
-noise pushes it toward the data.
+gain k = p / (p + r), so the posterior is prior + k * (z - prior).
+Relatively large measurement noise pushes the estimate toward the model;
+relatively small measurement noise pushes it toward the data.
 
 The filter is initialized from the first observation: the estimate starts
-at z[0] / measurement_scale under a diffuse prior variance p0, and the
-first observation is then absorbed as a measurement (zero innovation, so
-only the variance is conditioned). This gives the first observation the
-same weight as every later one; with transition = 1, process_var = 0 and
-a diffuse p0 the posterior is exactly the running mean of the series.
+at z[0] under a diffuse prior variance p0, and the first observation is
+then absorbed as a measurement (zero innovation, so only the variance is
+conditioned). This gives the first observation the same weight as every
+later one; with transition = 1, process_var = 0 and a diffuse p0 the
+posterior is exactly the running mean of the series.
 
 filter_series runs the whole recursion in one plain-float loop and
 returns a FilterTrace: the seed posterior (estimate and variance) plus
@@ -49,22 +49,19 @@ def _require_finite(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Model constants: noise variances plus the two multipliers."""
+    """Model constants: noise variances plus the transition multiplier."""
 
     process_var: float
     measurement_var: float
     transition: float = 1.0
-    measurement_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("process_var", "measurement_var", "transition", "measurement_scale"):
+        for name in ("process_var", "measurement_var", "transition"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if self.process_var < 0 or self.measurement_var < 0:
             raise InvalidParams("noise variances must be >= 0")
         if self.process_var + self.measurement_var <= 0:
             raise InvalidParams("process_var + measurement_var must be > 0")
-        if self.measurement_scale == 0:
-            raise InvalidParams("measurement_scale must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -72,10 +69,10 @@ class FilterTrace:
     """The seed posterior, then one column entry per observation after the first.
 
     initial_estimate and initial_variance are the state after absorbing
-    the first observation. forecasts are the measurement-space one-step-ahead
-    predictions, each made before its observation was absorbed; estimates
-    and variances are the posterior state (state space); gains and
-    innovations are each update's blend weight and measurement residual.
+    the first observation. forecasts are the one-step-ahead predictions,
+    each made before its observation was absorbed; estimates and variances
+    are the posterior state; gains and innovations are each update's blend
+    weight and measurement residual.
     """
 
     initial_estimate: float
@@ -108,30 +105,25 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
     if p0 < 0:
         raise InvalidParams(f"p0 must be >= 0, got {p0}")
 
-    m_t, s = params.transition, params.measurement_scale
-    q, r = params.process_var, params.measurement_var
+    m_t, q, r = params.transition, params.process_var, params.measurement_var
+    # Only the seed step can have no gain: every later prior variance is at
+    # least q, and FilterParams makes q + r > 0.
+    if p0 == 0 and r == 0:
+        raise DegenerateGain("prior variance and measurement noise are both zero")
     forecasts, estimates, variances, gains, innovations = [], [], [], [], []
     # Prior of the seed bin: no prediction step precedes it, and absorbing
-    # z[0] leaves a zero innovation (up to the rounding of z[0] / s), so
-    # only the variance is conditioned.
-    x, p = first / s, p0
+    # z[0] leaves a zero innovation, so only the variance is conditioned.
+    x, p = first, p0
     for z in values:
-        denominator = s * s * p + r
-        if denominator == 0:
-            # A non-finite value met so far is carried in x; it is reported
-            # first, as it would be if every step were checked in turn.
-            _require_finite("estimate", x)
-            _require_finite("measurement", z)
-            raise DegenerateGain("prior variance and measurement noise are both zero")
-        k = p * s / denominator
-        forecast = s * x
-        innovation = z - forecast
+        denominator = p + r
+        k = p / denominator
+        innovation = z - x
+        forecasts.append(x)
         x = x + k * innovation
-        # Same quantity as (1 - k*s) * p, written without the cancellation that
+        # Same quantity as (1 - k) * p, written without the cancellation that
         # form suffers under a diffuse prior. The min() keeps the contraction
         # invariant p_post <= p_prior safe from division rounding.
         p = min(p * r / denominator, p)
-        forecasts.append(forecast)
         estimates.append(x)
         variances.append(p)
         gains.append(k)
@@ -153,15 +145,15 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
 
 
 def forecast_next(estimate: float, params: FilterParams, horizon: int) -> list[float]:
-    """Measurement-space point forecasts for the next `horizon` steps from
-    the last posterior estimate (state space)."""
+    """Point forecasts for the next `horizon` steps from the last posterior
+    estimate."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     out = []
     x = estimate
     for _ in range(horizon):
         x = params.transition * x
-        out.append(params.measurement_scale * x)
+        out.append(x)
     return out
 
 

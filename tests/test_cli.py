@@ -241,6 +241,22 @@ class TestConfigPrecedence:
         assert run_cli("run", str(counts_csv), "--config", str(tmp_path / "nope.conf"),
                        "--out-dir", str(tmp_path / "r")) == 1
 
+    # m_m, a state-to-measurement multiplier, only rescaled q and p0 and is
+    # no longer a setting; the generic paths reject it.
+    def test_m_m_flag_is_usage_error(self, tmp_path, counts_csv, capsys):
+        out_dir = tmp_path / "r"
+        assert run_cli("run", str(counts_csv), "--m-m", "2", "--out-dir", str(out_dir)) == 1
+        assert "unrecognized arguments: --m-m 2" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_m_m_config_key_is_usage_error(self, tmp_path, counts_csv, capsys):
+        conf = tmp_path / "flowcast.conf"
+        conf.write_text("m_m=2\n")
+        out_dir = tmp_path / "r"
+        assert run_cli("run", str(counts_csv), "--config", str(conf), "--out-dir", str(out_dir)) == 1
+        assert "unknown config key 'm_m'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestGoldenTrace:
     # sha256 of trace.csv from `simulate --preset P` then `run` with default

@@ -623,6 +623,7 @@ class TestReportWriting:
             "predicted_stats", "params",
         ]
         assert list(document["params"]) == ["m_t", "m_m", "q", "r", "p0"]
+        assert document["params"]["m_m"] == 1.0
         assert list(document["observed_stats"]) == [
             "count", "mean", "std_dev", "variance", "min", "max", "median", "q1", "q3",
         ]
@@ -647,7 +648,7 @@ class TestReportWriting:
 
     def test_trace_csv_layout(self):
         series, params, trace, report = _report_fixture()
-        lines = "".join(trace_csv_text(series, trace, params)).splitlines()
+        lines = "".join(trace_csv_text(series, trace)).splitlines()
         assert lines[0] == "bin_start,observed,forecast,filtered,gain,innovation"
         assert len(lines) == 1 + len(series)
         first = lines[1].split(",")
@@ -711,7 +712,7 @@ def _blocks_of(lines):
         yield "\n".join(block) + "\n"
 
 
-def _pooled_trace(length, pool, seed, run, scale, transition=1.0):
+def _pooled_trace(length, pool, seed, run):
     """A series and trace of the given length whose floats all come from
     pool, in runs of run equal values, as one FilterTrace holds them."""
     rng = np.random.default_rng(seed)
@@ -722,8 +723,7 @@ def _pooled_trace(length, pool, seed, run, scale, transition=1.0):
 
     series = FlowSeries(int(rng.integers(-10**9, 10**9)), int(rng.integers(1, 10**6)), column(length))
     trace = FilterTrace(pool[0], 1.0, *(column(length - 1) for _ in range(5)))
-    params = FilterParams(process_var=1.0, measurement_var=1.0, transition=transition, measurement_scale=scale)
-    return series, trace, params
+    return series, trace
 
 
 _FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(), st.floats(-1e3, 1e3))
@@ -738,12 +738,11 @@ class TestTraceWriter:
         pool=st.lists(_FLOAT, min_size=1, max_size=12),
         seed=st.integers(0, 2**32 - 1),
         run=st.sampled_from([1, 1, 3, 5000]),
-        scale=st.sampled_from([1.0, 1.0, -1.0, 0.5, 1.7, 1e-300, 3e300]),
     )
-    def test_blocks_match_the_per_row_formatter(self, length, pool, seed, run, scale):
-        series, trace, params = _pooled_trace(length, pool, seed, run, scale)
-        expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, scale)))
-        assert list(trace_csv_text(series, trace, params)) == expected
+    def test_blocks_match_the_per_row_formatter(self, length, pool, seed, run):
+        series, trace = _pooled_trace(length, pool, seed, run)
+        expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, 1.0)))
+        assert list(trace_csv_text(series, trace)) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -751,16 +750,15 @@ class TestTraceWriter:
         pool=st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-4, 3.0]) | st.floats(-1e6, 1e6), min_size=1, max_size=6),
         seed=st.integers(0, 2**32 - 1),
         transition=st.sampled_from([1.0, 0.97, -1.0, 1.03]),
-        scale=st.sampled_from([1.0, 1.7, -0.5]),
     )
-    def test_filtered_traces_match_the_per_row_formatter(self, length, pool, seed, transition, scale):
+    def test_filtered_traces_match_the_per_row_formatter(self, length, pool, seed, transition):
         # With m_t != 1 a filtered value is no longer the next row's forecast.
         rng = np.random.default_rng(seed)
         series = FlowSeries(0, 300, [pool[i] for i in rng.integers(len(pool), size=length).tolist()])
-        params = FilterParams(process_var=2.0, measurement_var=5.0, transition=transition, measurement_scale=scale)
+        params = FilterParams(process_var=2.0, measurement_var=5.0, transition=transition)
         trace = filter_series(series, params, p0=1e6)
-        expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, scale)))
-        assert list(trace_csv_text(series, trace, params)) == expected
+        expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, 1.0)))
+        assert list(trace_csv_text(series, trace)) == expected
 
     @pytest.mark.parametrize("length", _TRACE_LENGTHS)
     def test_signed_zeros_keep_their_sign(self, length):
@@ -774,17 +772,16 @@ class TestTraceWriter:
 
         series = FlowSeries(0, 300, column(length, 0))
         trace = FilterTrace(-0.0, 1.0, *(column(length - 1, shift) for shift in range(1, 6)))
-        params = FilterParams(process_var=1.0, measurement_var=1.0)
         expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, 1.0)))
-        assert list(trace_csv_text(series, trace, params)) == expected
+        assert list(trace_csv_text(series, trace)) == expected
 
     def test_written_file_spans_several_blocks(self, tmp_path):
         series = FlowSeries(1_704_067_200, 300, [float(v % 97) for v in range(10_000)])
-        params = FilterParams(process_var=0.5, measurement_var=4.0, transition=0.99, measurement_scale=1.25)
+        params = FilterParams(process_var=0.5, measurement_var=4.0, transition=0.99)
         trace = filter_series(series, params)
         path = tmp_path / "trace.csv"
-        flowcast.io.write_trace_csv(series, trace, params, path)
-        expected = "\n".join(oracles.trace_csv_lines(series, trace, 1.25)) + "\n"
+        flowcast.io.write_trace_csv(series, trace, path)
+        expected = "\n".join(oracles.trace_csv_lines(series, trace, 1.0)) + "\n"
         assert path.read_text() == expected
         assert len(expected.splitlines()) > 2 * flowcast.io._BLOCK_LINES
 
@@ -799,7 +796,7 @@ class TestTraceWriter:
         trace = filter_series(series, params)
         tracemalloc.start()
         try:
-            for _ in trace_csv_text(series, trace, params):
+            for _ in trace_csv_text(series, trace):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
