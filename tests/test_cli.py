@@ -241,8 +241,7 @@ class TestConfigPrecedence:
         assert run_cli("run", str(counts_csv), "--config", str(tmp_path / "nope.conf"),
                        "--out-dir", str(tmp_path / "r")) == 1
 
-    # m_m, a state-to-measurement multiplier, only rescaled q and p0 and is
-    # no longer a setting; the generic paths reject it.
+    # m_m, which only rescaled q and p0, is no longer a setting.
     def test_m_m_flag_is_usage_error(self, tmp_path, counts_csv, capsys):
         out_dir = tmp_path / "r"
         assert run_cli("run", str(counts_csv), "--m-m", "2", "--out-dir", str(out_dir)) == 1
