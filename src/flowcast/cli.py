@@ -28,8 +28,8 @@ from flowcast.io import (
     read_series_csv,
     series_csv_text,
     sniff_input_kind,
+    trace_csv_text,
     write_report,
-    write_trace_csv,
 )
 from flowcast.kalman import FilterParams, estimate_noise, filter_series, forecast_next
 from flowcast.metrics import build_report
@@ -143,7 +143,7 @@ def _cmd_forecast(args: argparse.Namespace) -> None:
     params = _filter_params(config, series)
     trace = filter_series(series, params, config.init_var)
     if args.out:
-        write_trace_csv(series, trace, args.out)
+        atomic_write_text(args.out, trace_csv_text(series, trace))
         _note(f"wrote trace for {len(series)} bins to {args.out}")
     values = forecast_next(trace.estimates[-1], params, args.horizon)
     sys.stdout.write("step,pcu\n")
@@ -159,7 +159,7 @@ def _evaluate_series(series: FlowSeries, config: RunConfig) -> None:
     predictions = trace.forecasts if config.evaluate_mode == "predicted" else trace.estimates
     report = build_report(series, predictions, config.percent_denominator)
     paths = write_report(report, trace, series, params, config.init_var, config.out_dir)
-    paths += render_plots(series.tail(), predictions, report, config.out_dir, config.histogram_bins)
+    paths += render_plots(series.values[1:], predictions, report, config.out_dir, config.histogram_bins)
     _note(
         f"MAPE {report.mape_percent:.2f}% ({report.mape_band.value}), "
         f"RMSPE {report.rmspe_percent:.2f}% ({report.rmspe_band.value}), "

@@ -558,10 +558,6 @@ def trace_csv_text(series: FlowSeries, trace: FilterTrace) -> Iterator[str]:
     return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:], columns)
 
 
-def write_trace_csv(series: FlowSeries, trace: FilterTrace, path: str | Path) -> None:
-    atomic_write_text(Path(path), trace_csv_text(series, trace))
-
-
 def report_json_text(report: EvaluationReport, params: FilterParams, init_var: float) -> str:
     document = {"schema": 1}
     document.update(dataclasses.asdict(report))
@@ -589,5 +585,5 @@ def write_report(
     report_path = out_dir / REPORT_FILENAME
     trace_path = out_dir / TRACE_FILENAME
     atomic_write_text(report_path, report_json_text(report, params, init_var))
-    write_trace_csv(series, trace, trace_path)
+    atomic_write_text(trace_path, trace_csv_text(series, trace))
     return [report_path, trace_path]

@@ -5,6 +5,11 @@ identical inputs produce byte-identical files. No plotting library is
 involved; golden-file tests stay stable across environments. A figure's
 size is bounded by its pixel area: the time series keeps the M4 points
 of each pixel column, and the scatter draws one mark per pixel cell.
+
+Every element inside the root <svg>, except the scatter's marks, is
+written by _tag: a float attribute with two decimals (_fmt), any other
+value as str. So a style number such as stroke-width="1.5" is passed as
+a string.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import numpy as np
 
 from flowcast.io import atomic_write_text
 from flowcast.metrics import DescriptiveStats, EvaluationReport, fsum_mean, histogram, trend_slope
-from flowcast.series import FlowSeries
 
 WIDTH = 640.0
 HEIGHT = 420.0
@@ -47,6 +51,16 @@ def _label(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _tag(name: str, content: str = "", **attributes) -> str:
+    """One SVG element; an "_" in an attribute name becomes "-", and an
+    element without content closes itself."""
+    attrs = "".join(
+        f' {key.replace("_", "-")}="{_fmt(value) if isinstance(value, float) else value}"'
+        for key, value in attributes.items()
+    )
+    return f"<{name}{attrs}>{content}</{name}>" if content else f"<{name}{attrs}/>"
+
+
 def _pad_range(lo: float, hi: float) -> tuple[float, float]:
     if hi <= lo:
         pad = abs(lo) * 0.05 + 1.0
@@ -58,13 +72,14 @@ def _pad_range(lo: float, hi: float) -> tuple[float, float]:
 class _Frame:
     """Maps data coordinates onto the fixed plot area."""
 
+    left = MARGIN_LEFT
+    right = WIDTH - MARGIN_RIGHT
+    top = MARGIN_TOP
+    bottom = HEIGHT - MARGIN_BOTTOM
+
     def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo, y_hi
-        self.left = MARGIN_LEFT
-        self.right = WIDTH - MARGIN_RIGHT
-        self.top = MARGIN_TOP
-        self.bottom = HEIGHT - MARGIN_BOTTOM
 
     def x(self, v: float) -> float:
         return self.left + (v - self.x_lo) / (self.x_hi - self.x_lo) * (self.right - self.left)
@@ -74,20 +89,16 @@ class _Frame:
 
     def axes(self) -> list[str]:
         parts = [
-            f'<rect x="{_fmt(self.left)}" y="{_fmt(self.top)}" width="{_fmt(self.right - self.left)}" '
-            f'height="{_fmt(self.bottom - self.top)}" fill="none" stroke="#444444" stroke-width="1"/>'
+            _tag("rect", x=self.left, y=self.top, width=self.right - self.left, height=self.bottom - self.top,
+                 fill="none", stroke="#444444", stroke_width=1)
         ]
         for frac in (0.0, 0.5, 1.0):
             yv = self.y_lo + frac * (self.y_hi - self.y_lo)
             xv = self.x_lo + frac * (self.x_hi - self.x_lo)
-            parts.append(
-                f'<text x="{_fmt(self.left - 6)}" y="{_fmt(self.y(yv) + 4)}" font-size="11" '
-                f'text-anchor="end" fill="#333333">{_label(yv)}</text>'
-            )
-            parts.append(
-                f'<text x="{_fmt(self.x(xv))}" y="{_fmt(self.bottom + 16)}" font-size="11" '
-                f'text-anchor="middle" fill="#333333">{_label(xv)}</text>'
-            )
+            parts.append(_tag("text", _label(yv), x=self.left - 6, y=self.y(yv) + 4, font_size=11,
+                              text_anchor="end", fill="#333333"))
+            parts.append(_tag("text", _label(xv), x=self.x(xv), y=self.bottom + 16, font_size=11,
+                              text_anchor="middle", fill="#333333"))
         return parts
 
 
@@ -95,9 +106,8 @@ def _document(title: str, body: list[str]) -> str:
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" '
         f'viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">',
-        f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="#ffffff"/>',
-        f'<text x="{_fmt(WIDTH / 2)}" y="24" font-size="15" text-anchor="middle" '
-        f'fill="#111111">{html.escape(title)}</text>',
+        _tag("rect", x=0, y=0, width=WIDTH, height=HEIGHT, fill="#ffffff"),
+        _tag("text", html.escape(title), x=WIDTH / 2, y=24, font_size=15, text_anchor="middle", fill="#111111"),
     ]
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
@@ -114,11 +124,8 @@ def histogram_svg(values: Sequence[float], bin_count: int, title: str, color: st
         x0 = frame.x(edge)
         x1 = frame.x(edge + width)
         y0 = frame.y(count)
-        body.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
-            f'height="{_fmt(frame.bottom - y0)}" fill="{color}" fill-opacity="0.8" '
-            f'stroke="#ffffff" stroke-width="1"/>'
-        )
+        body.append(_tag("rect", x=x0, y=y0, width=x1 - x0, height=frame.bottom - y0, fill=color,
+                         fill_opacity="0.8", stroke="#ffffff", stroke_width=1))
     return _document(title, body)
 
 
@@ -128,40 +135,22 @@ def boxplot_svg(groups: Sequence[tuple[str, DescriptiveStats]], title: str) -> s
     y_lo, y_hi = _pad_range(y_lo, y_hi)
     frame = _Frame(0.0, float(len(groups)), y_lo, y_hi)
     body = frame.axes()
-    colors = (OBSERVED_COLOR, PREDICTED_COLOR)
-    for i, (name, s) in enumerate(groups):
+    for i, ((name, s), color) in enumerate(zip(groups, (OBSERVED_COLOR, PREDICTED_COLOR))):
         center = i + 0.5
         half = 0.18
-        color = colors[i % len(colors)]
         cx = frame.x(center)
         x0, x1 = frame.x(center - half), frame.x(center + half)
         for level in (s.min, s.max):
-            body.append(
-                f'<line x1="{_fmt(frame.x(center - half / 2))}" y1="{_fmt(frame.y(level))}" '
-                f'x2="{_fmt(frame.x(center + half / 2))}" y2="{_fmt(frame.y(level))}" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-        body.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(frame.y(s.min))}" x2="{_fmt(cx)}" '
-            f'y2="{_fmt(frame.y(s.q1))}" stroke="{color}" stroke-width="1"/>'
-        )
-        body.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(frame.y(s.q3))}" x2="{_fmt(cx)}" '
-            f'y2="{_fmt(frame.y(s.max))}" stroke="{color}" stroke-width="1"/>'
-        )
-        body.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(frame.y(s.q3))}" width="{_fmt(x1 - x0)}" '
-            f'height="{_fmt(frame.y(s.q1) - frame.y(s.q3))}" fill="{color}" fill-opacity="0.25" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        body.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(frame.y(s.median))}" x2="{_fmt(x1)}" '
-            f'y2="{_fmt(frame.y(s.median))}" stroke="{color}" stroke-width="2"/>'
-        )
-        body.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(frame.bottom + 32)}" font-size="12" '
-            f'text-anchor="middle" fill="#333333">{html.escape(name)}</text>'
-        )
+            body.append(_tag("line", x1=frame.x(center - half / 2), y1=frame.y(level), x2=frame.x(center + half / 2),
+                             y2=frame.y(level), stroke=color, stroke_width="1.5"))
+        for lo, hi in ((s.min, s.q1), (s.q3, s.max)):
+            body.append(_tag("line", x1=cx, y1=frame.y(lo), x2=cx, y2=frame.y(hi), stroke=color, stroke_width=1))
+        body.append(_tag("rect", x=x0, y=frame.y(s.q3), width=x1 - x0, height=frame.y(s.q1) - frame.y(s.q3),
+                         fill=color, fill_opacity="0.25", stroke=color, stroke_width="1.5"))
+        body.append(_tag("line", x1=x0, y1=frame.y(s.median), x2=x1, y2=frame.y(s.median), stroke=color,
+                         stroke_width=2))
+        body.append(_tag("text", html.escape(name), x=cx, y=frame.bottom + 32, font_size=12, text_anchor="middle",
+                         fill="#333333"))
     return _document(title, body)
 
 
@@ -173,10 +162,8 @@ def scatter_svg(x_values: Sequence[float], y_values: Sequence[float], title: str
     lo, hi = _pad_range(lo, hi)
     frame = _Frame(lo, hi, lo, hi)
     body = frame.axes()
-    body.append(
-        f'<line x1="{_fmt(frame.x(lo))}" y1="{_fmt(frame.y(lo))}" x2="{_fmt(frame.x(hi))}" '
-        f'y2="{_fmt(frame.y(hi))}" stroke="{TREND_COLOR}" stroke-width="1" stroke-dasharray="5,4"/>'
-    )
+    body.append(_tag("line", x1=frame.x(lo), y1=frame.y(lo), x2=frame.x(hi), y2=frame.y(hi), stroke=TREND_COLOR,
+                     stroke_width=1, stroke_dasharray="5,4"))
     # One mark per occupied 1 px cell, at the cell's first point, in the
     # order cells are first met. Its opacity is that of the cell's points
     # stacked at 0.75 each, so a lone point reads 0.75.
@@ -187,6 +174,8 @@ def scatter_svg(x_values: Sequence[float], y_values: Sequence[float], title: str
     _, first, counts = np.unique(cells, return_index=True, return_counts=True)
     order = np.argsort(first)
     first, counts = first[order], counts[order]
+    # Written without _tag: the only element drawn once per data point,
+    # about 16k times on a year of bins.
     for xv, yv, count in zip(xs[first].tolist(), ys[first].tolist(), counts.tolist()):
         body.append(
             f'<circle cx="{xv:.2f}" cy="{yv:.2f}" r="3" '
@@ -212,7 +201,7 @@ def _m4(columns: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate(kept))
 
 
-def _polyline(frame: _Frame, values: Sequence[float], color: str, dash: str = "") -> str:
+def _polyline(frame: _Frame, values: Sequence[float], color: str) -> str:
     """The line through (i, values[i]), keeping the M4 points of each 1 px column.
 
     M4 (Jugel et al. 2014) keeps the first, last, lowest and highest point
@@ -225,8 +214,7 @@ def _polyline(frame: _Frame, values: Sequence[float], color: str, dash: str = ""
     ys = frame.y(v)
     kept = _m4(np.floor(xs), v)
     points = " ".join(map("{:.2f},{:.2f}".format, xs[kept].tolist(), ys[kept].tolist()))
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>'
+    return _tag("polyline", points=points, fill="none", stroke=color, stroke_width="1.5")
 
 
 def timeseries_svg(observed: Sequence[float], predicted: Sequence[float], title: str) -> str:
@@ -246,26 +234,17 @@ def timeseries_svg(observed: Sequence[float], predicted: Sequence[float], title:
     intercept = fsum_mean(observed) - slope * ((n - 1) / 2.0)
     trend_y0 = min(max(intercept, y_lo), y_hi)
     trend_y1 = min(max(intercept + slope * (n - 1), y_lo), y_hi)
-    body.append(
-        f'<line x1="{_fmt(frame.x(0.0))}" y1="{_fmt(frame.y(trend_y0))}" '
-        f'x2="{_fmt(frame.x(float(n - 1)))}" y2="{_fmt(frame.y(trend_y1))}" '
-        f'stroke="{TREND_COLOR}" stroke-width="1.5" stroke-dasharray="6,4"/>'
-    )
+    body.append(_tag("line", x1=frame.x(0.0), y1=frame.y(trend_y0), x2=frame.x(float(n - 1)), y2=frame.y(trend_y1),
+                     stroke=TREND_COLOR, stroke_width="1.5", stroke_dasharray="6,4"))
     body.append(_polyline(frame, observed, OBSERVED_COLOR))
     body.append(_polyline(frame, predicted, PREDICTED_COLOR))
-    body.append(
-        f'<text x="{_fmt(frame.left + 8)}" y="{_fmt(frame.top + 14)}" font-size="11" '
-        f'fill="{OBSERVED_COLOR}">observed</text>'
-    )
-    body.append(
-        f'<text x="{_fmt(frame.left + 8)}" y="{_fmt(frame.top + 28)}" font-size="11" '
-        f'fill="{PREDICTED_COLOR}">predicted</text>'
-    )
+    for row, (label, color) in enumerate((("observed", OBSERVED_COLOR), ("predicted", PREDICTED_COLOR)), start=1):
+        body.append(_tag("text", label, x=frame.left + 8, y=frame.top + 14 * row, font_size=11, fill=color))
     return _document(title, body)
 
 
 def render_plots(
-    observed: FlowSeries,
+    observed: Sequence[float],
     predicted: Sequence[float],
     report: EvaluationReport,
     out_dir: str | Path,
@@ -276,30 +255,19 @@ def render_plots(
     observed and predicted must be the aligned pair the report was built
     from (one value per forecasted bin).
     """
-    out_dir = Path(out_dir)
-    observed_values = np.asarray(observed.values, dtype=float)
-    predicted_values = np.asarray(predicted, dtype=float)
-    documents = {
-        "observed_histogram.svg": histogram_svg(
-            observed_values, histogram_bins, "Observed flow histogram (PCU per bin)", OBSERVED_COLOR
-        ),
-        "predicted_histogram.svg": histogram_svg(
-            predicted_values, histogram_bins, "Predicted flow histogram (PCU per bin)", PREDICTED_COLOR
-        ),
-        "boxplot.svg": boxplot_svg(
+    observed = np.asarray(observed, dtype=float)
+    predicted = np.asarray(predicted, dtype=float)
+    documents = (
+        histogram_svg(observed, histogram_bins, "Observed flow histogram (PCU per bin)", OBSERVED_COLOR),
+        histogram_svg(predicted, histogram_bins, "Predicted flow histogram (PCU per bin)", PREDICTED_COLOR),
+        boxplot_svg(
             [("observed", report.observed_stats), ("predicted", report.predicted_stats)],
             "Observed vs predicted flow (PCU per bin)",
         ),
-        "scatter.svg": scatter_svg(
-            observed_values, predicted_values, "Predicted vs observed flow with identity line"
-        ),
-        "timeseries.svg": timeseries_svg(
-            observed_values, predicted_values, "Flow by bin with observed trend"
-        ),
-    }
-    paths = []
-    for name in PLOT_FILENAMES:
-        path = out_dir / name
-        atomic_write_text(path, documents[name])
-        paths.append(path)
+        scatter_svg(observed, predicted, "Predicted vs observed flow with identity line"),
+        timeseries_svg(observed, predicted, "Flow by bin with observed trend"),
+    )
+    paths = [Path(out_dir) / name for name in PLOT_FILENAMES]
+    for path, document in zip(paths, documents):
+        atomic_write_text(path, document)
     return paths

@@ -44,10 +44,6 @@ class FlowSeries:
     def bin_starts(self) -> range:
         return range(self.start_time, self.start_time + len(self.values) * self.bin_duration, self.bin_duration)
 
-    def tail(self) -> "FlowSeries":
-        """The series without its first bin (the bins that get forecasts)."""
-        return FlowSeries(self.start_time + self.bin_duration, self.bin_duration, self.values[1:])
-
 
 def aggregate(
     counts: ClassifiedCounts,

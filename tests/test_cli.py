@@ -267,7 +267,7 @@ class TestGoldenTrace:
         ("volatile", "8c12dc1cc6d70a1200163ab2bf4d0b3b5f235a96e01f71aacd592b1e08852dbe"),
     ])
     def test_trace_csv_digest(self, tmp_path, preset, digest):
-        assert _preset_digests(tmp_path, preset)["trace.csv"] == digest
+        assert _run_digests(tmp_path, "--preset", preset)["trace.csv"] == digest
 
     # sha256 of report.json from the same runs, which pins its key order,
     # indentation and float formatting as well as its values.
@@ -277,7 +277,7 @@ class TestGoldenTrace:
         ("volatile", "c955550f8a565dc9cfef7a0f488d228e8d37e1fbb7116ceb4e75d5783a114866"),
     ])
     def test_report_json_digest(self, tmp_path, preset, digest):
-        assert _preset_digests(tmp_path, preset)["report.json"] == digest
+        assert _run_digests(tmp_path, "--preset", preset)["report.json"] == digest
 
     # sha256 of the five figures from the same runs, in PLOT_FILENAMES
     # order. A preset has 36 bins, so every point keeps its own mark and
@@ -306,15 +306,29 @@ class TestGoldenTrace:
         )),
     ])
     def test_svg_digests(self, tmp_path, preset, digests):
-        found = _preset_digests(tmp_path, preset)
+        found = _run_digests(tmp_path, "--preset", preset)
         assert tuple(found[name] for name in PLOT_FILENAMES) == digests
 
+    # sha256 of the five figures from `simulate --duration 604800` (a week,
+    # 2,016 bins) then `run`, in PLOT_FILENAMES order. Unlike the presets,
+    # M4 drops points here: the polylines keep 1,585 and 1,189 of the 2,015
+    # points, and the scatter merges them into 1,857 marks.
+    def test_week_svg_digests(self, tmp_path):
+        found = _run_digests(tmp_path, "--duration", "604800")
+        assert tuple(found[name] for name in PLOT_FILENAMES) == (
+            "21632f6ec9b73f9135c0f1d5feca9095e6b572039fe28c537c53f4c519a296ef",
+            "b27d3c8e9a48976bd7ec68b12934976c40ea917bbcb3eec6d208c1fbf83f3f4f",
+            "65e5160915c9ae8bba5ef4bf91ab017d48ba16f48d1813fe4831be6f238012fa",
+            "27460756c7b223928ce4b38c1602699cb5b2e3e4be602e3fdcc62d5626122b03",
+            "a4455bd95423731378679e202ff1f7a91d008ff6e02222e3199da720118f9634",
+        )
 
-def _preset_digests(tmp_path, preset):
-    """sha256 of each output of `simulate --preset P` then `run`, by file name."""
+
+def _run_digests(tmp_path, *simulate_args):
+    """sha256 of each output of `simulate ARGS` then `run`, by file name."""
     counts = tmp_path / "counts.csv"
     results = tmp_path / "results"
-    assert run_cli("simulate", "--preset", preset, "--out", str(counts)) == 0
+    assert run_cli("simulate", *simulate_args, "--out", str(counts)) == 0
     assert run_cli("run", str(counts), "--out-dir", str(results)) == 0
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in results.iterdir()}
 

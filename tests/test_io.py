@@ -780,7 +780,7 @@ class TestTraceWriter:
         params = FilterParams(process_var=0.5, measurement_var=4.0, transition=0.99)
         trace = filter_series(series, params)
         path = tmp_path / "trace.csv"
-        flowcast.io.write_trace_csv(series, trace, path)
+        flowcast.io.atomic_write_text(path, trace_csv_text(series, trace))
         expected = "\n".join(oracles.trace_csv_lines(series, trace, 1.0)) + "\n"
         assert path.read_text() == expected
         assert len(expected.splitlines()) > 2 * flowcast.io._BLOCK_LINES
@@ -845,7 +845,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "text",
-        ["bin_duration=0", "p0=-1", "m_m=0", "q=-2", "histogram_bins=0",
+        ["bin_duration=0", "p0=-1", "m_t=nan", "q=-2", "histogram_bins=0",
          "evaluate_mode=both", "percent_denominator=mean", "bin_duration=abc"],
     )
     def test_bad_values_rejected(self, tmp_path, text):

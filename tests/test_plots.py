@@ -1,5 +1,6 @@
 """SVG figure rendering: file contract, determinism, degenerate input."""
 
+import hashlib
 import math
 import random
 import re
@@ -35,7 +36,7 @@ def _pipeline(values):
 
 def test_render_writes_five_named_files(tmp_path):
     series, trace, report = _pipeline([100.0, 112.0, 108.0, 123.0, 131.0, 127.0])
-    paths = render_plots(series.tail(), trace.forecasts, report, tmp_path)
+    paths = render_plots(series.values[1:], trace.forecasts, report, tmp_path)
     assert [p.name for p in paths] == list(PLOT_FILENAMES)
     for path in paths:
         assert path.exists()
@@ -46,14 +47,14 @@ def test_render_writes_five_named_files(tmp_path):
 
 def test_rendered_svg_is_well_formed_xml(tmp_path):
     series, trace, report = _pipeline([100.0, 112.0, 108.0, 123.0, 131.0, 127.0])
-    for path in render_plots(series.tail(), trace.forecasts, report, tmp_path):
+    for path in render_plots(series.values[1:], trace.forecasts, report, tmp_path):
         ElementTree.fromstring(path.read_text())
 
 
 def test_rendering_is_deterministic(tmp_path):
     series, trace, report = _pipeline([100.0, 112.0, 108.0, 123.0, 131.0, 127.0])
-    first = render_plots(series.tail(), trace.forecasts, report, tmp_path / "a")
-    second = render_plots(series.tail(), trace.forecasts, report, tmp_path / "b")
+    first = render_plots(series.values[1:], trace.forecasts, report, tmp_path / "a")
+    second = render_plots(series.values[1:], trace.forecasts, report, tmp_path / "b")
     for one, two in zip(first, second):
         assert one.read_bytes() == two.read_bytes()
 
@@ -63,10 +64,19 @@ def test_constant_predictions_render_without_error(tmp_path):
     # non-degenerate run while the plotted predictions are constant.
     series, trace, report = _pipeline([100.0, 112.0, 108.0, 123.0, 131.0])
     constant = tuple(100.0 for _ in trace.forecasts)
-    paths = render_plots(series.tail(), constant, report, tmp_path)
+    paths = render_plots(series.values[1:], constant, report, tmp_path)
     assert len(paths) == 5
     for path in paths:
         ElementTree.fromstring(path.read_text())
+    # Pins the single-bin histogram and the degenerate _pad_range branch,
+    # which no 36-bin preset reaches.
+    assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths] == [
+        "fe62ab0f71f56f9f9945b084a65d8d5024bce40b654dfa93ddf377063f020f7f",
+        "1daabb066b92c09c9ec88f2a83d24f7287cea149ea677e003954d69f9cec269e",
+        "add049c236f57bac38f44d5eef58fc27e3d825a876ba76924fb0fa661943e8dd",
+        "b8d27042191a1ad3e520793d07881316d719870dc97224c3204de0457067aa6a",
+        "b33160aa9eef7b86b331b0ce0da4ef99e6d1ba7208e0fd3961f4fa307630949f",
+    ]
 
 
 def _trend_line_pixels(svg_text):

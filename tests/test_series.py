@@ -132,9 +132,3 @@ def test_extreme_timestamps_and_bins(stamps, bin_duration, start_time, expected)
         counts_csv_text(records), factors, bin_duration, start_time
     )
 
-
-def test_tail_drops_first_bin():
-    series = FlowSeries(600, 300, (1.0, 2.0, 3.0))
-    tail = series.tail()
-    assert tail.start_time == 900
-    assert tail.values == (2.0, 3.0)
