@@ -16,18 +16,29 @@ conditioned). This gives the first observation the same weight as every
 later one; with transition = 1, process_var = 0 and a diffuse p0 the
 posterior is exactly the running mean of the series.
 
-filter_series runs the whole recursion in one plain-float loop and
-returns a FilterTrace: the seed posterior (estimate and variance) plus
-parallel columns (forecast, posterior estimate and variance, gain,
-innovation) with one entry per observation after the first.
+filter_series runs the recursion as two plain-float loops. The variance
+and gain recursion never reads the data and settles to a steady state
+(Anderson & Moore 1979, Optimal Filtering, ch. 4), so the gain loop stops
+once the prior variance repeats bit for bit: every later step would repeat
+it, and the rest of the gain and variance columns repeats the last step.
+A recursion that never settles, such as a short series or a prior that
+overflows, runs the full length. The state loop then carries the estimate
+through those gains. Each loop performs the float operations of one fused
+predict/update step in the same order, so the columns are the floats that
+fused loop gives. The result is a FilterTrace: the seed posterior
+(estimate and variance) plus parallel columns (forecast, posterior
+estimate and variance, gain, innovation) with one entry per observation
+after the first.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import NamedTuple
+
+import numpy as np
 
 from flowcast.errors import DataError, DegenerateGain, InvalidParams, NonFiniteInput, SeriesTooShort
 from flowcast.series import FlowSeries
@@ -95,7 +106,9 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
     The first observation seeds the state (see module docstring); every
     later observation contributes one predict/update step. Forecasts are
     strictly causal: the forecast recorded at step i was computed before
-    observation i was absorbed.
+    observation i was absorbed. The gain loop runs until the prior variance
+    repeats bit for bit (signed zeros told apart), the state loop over every
+    bin.
     """
     values = series.values
     if len(values) < 2:
@@ -110,26 +123,37 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
     # least q, and FilterParams makes q + r > 0.
     if p0 == 0 and r == 0:
         raise DegenerateGain("prior variance and measurement noise are both zero")
-    forecasts, estimates, variances, gains, innovations = [], [], [], [], []
-    # Prior of the seed bin: no prediction step precedes it, and absorbing
-    # z[0] leaves a zero innovation, so only the variance is conditioned.
-    x, p = first, p0
-    for z in values:
-        denominator = p + r
-        k = p / denominator
+    # Gain loop. The seed bin's prior is p0: no prediction step precedes it.
+    gains, variances, prior = [], [], p0
+    for _ in values:
+        denominator = prior + r
+        k = prior / denominator
+        # Same quantity as (1 - k) * prior, written without the cancellation that
+        # form suffers under a diffuse prior. The min() keeps the contraction
+        # invariant post <= prior safe from division rounding.
+        post = min(prior * r / denominator, prior)
+        gains.append(k)
+        variances.append(post)
+        # Prior for the next bin. Once it repeats bit for bit (== alone
+        # would take -0.0 for 0.0), so does every later step.
+        previous, prior = prior, m_t * m_t * post + q
+        if prior == previous and math.copysign(1.0, prior) == math.copysign(1.0, previous):
+            break
+    seed_gain, initial_variance = gains.pop(0), variances.pop(0)
+    gains.extend(repeat(k, len(values) - 1 - len(gains)))
+    variances.extend(repeat(post, len(values) - 1 - len(variances)))
+
+    # State loop. Absorbing z[0] leaves a zero innovation, so the seed step
+    # conditions only the variance.
+    x = initial_estimate = first + seed_gain * (values[0] - first)
+    forecasts, estimates, innovations = [], [], []
+    for z, k in zip(islice(values, 1, None), gains):
+        x = m_t * x
         innovation = z - x
         forecasts.append(x)
         x = x + k * innovation
-        # Same quantity as (1 - k) * p, written without the cancellation that
-        # form suffers under a diffuse prior. The min() keeps the contraction
-        # invariant p_post <= p_prior safe from division rounding.
-        p = min(p * r / denominator, p)
         estimates.append(x)
-        variances.append(p)
-        gains.append(k)
         innovations.append(innovation)
-        # Prior for the next bin.
-        x, p = m_t * x, m_t * m_t * p + q
 
     # Arithmetic on inf or nan gives inf or nan, and a non-finite variance
     # makes the gain and so the estimate nan: once a measurement or an
@@ -137,11 +161,13 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
     # last posterior covers every bin.
     _require_finite("estimate", estimates[-1])
     _require_finite("variance", variances[-1])
-    return FilterTrace(
-        estimates[0],
-        variances[0],
-        *(tuple(column[1:]) for column in (forecasts, estimates, variances, gains, innovations)),
-    )
+    # Each list is emptied once its tuple exists, so the peak holds the
+    # trace plus about one column of pointers.
+    columns = []
+    for column in (forecasts, estimates, variances, gains, innovations):
+        columns.append(tuple(column))
+        column.clear()
+    return FilterTrace(initial_estimate, initial_variance, *columns)
 
 
 def forecast_next(estimate: float, params: FilterParams, horizon: int) -> list[float]:
@@ -149,12 +175,33 @@ def forecast_next(estimate: float, params: FilterParams, horizon: int) -> list[f
     estimate."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    out = []
-    x = estimate
+    x, out = estimate, []
     for _ in range(horizon):
         x = params.transition * x
         out.append(x)
     return out
+
+
+def _variance(values: np.ndarray) -> float:
+    """The sample variance statistics.variance returns, from exact integer
+    sums and one correctly rounded division; OverflowError beyond a float."""
+    if not np.isfinite(values).all():  # as statistics.variance: the sum of the non-finite values
+        return sum(values[~np.isfinite(values)].tolist())
+    mantissas, exponents = np.frexp(values[values != 0])
+    if not len(mantissas):
+        return 0.0
+    # Each value is odd * 2**power; scaled by the power all share, they are
+    # integers below 2**(exponent - shared).
+    ints = (mantissas * 2.0**53).astype(np.int64)
+    zeros = np.frexp((ints & -ints).astype(float))[1] - 1
+    powers = exponents - 53 + zeros
+    shared = int(powers.min())
+    ints, shifts, n = ints >> zeros, powers - shared, len(values)
+    if 2 * (int(exponents.max()) - shared) + n.bit_length() > 63:
+        ints = ints.astype(object)  # n * max(ints)**2 could overflow int64: use Python ints
+    ints = ints << shifts
+    sx, sxx = int(ints.sum()), int((ints * ints).sum())
+    return ((n * sxx - sx * sx) << max(2 * shared, 0)) / (n * (n - 1) << max(-2 * shared, 0))
 
 
 def estimate_noise(series: FlowSeries) -> NoiseEstimate:
@@ -167,16 +214,22 @@ def estimate_noise(series: FlowSeries) -> NoiseEstimate:
     mean. A constant series falls back to symmetric 1e-9 floors. Sample
     (n-1) variances throughout; deterministic given the series. A variance
     beyond the float range raises DataError.
+
+    Each variance is exact: integer sums over the values' mantissas and one
+    correctly rounded division give the float statistics.variance gives.
+    A series holding inf or nan (the readers reject them, a FlowSeries built
+    directly may not) gets the sum of those values: inf, -inf or nan.
     """
-    values = series.values
+    values = np.array(series.values)
     if len(values) < 3:
         raise SeriesTooShort(f"need at least 3 observations, got {len(values)}")
 
     try:
-        values_var = statistics.variance(values)
+        values_var = _variance(values)
         if values_var == 0:
             return NoiseEstimate(CONSTANT_SERIES_FLOOR, CONSTANT_SERIES_FLOOR)
-        diff_var = statistics.variance([b - a for a, b in zip(values, values[1:])])
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, as in float arithmetic
+            diff_var = _variance(np.diff(values))
     except OverflowError:
         raise DataError("the noise variances of this series overflow a float; set q and r (--q, --r)") from None
     return NoiseEstimate(PROCESS_VAR_FLOOR_RATIO * values_var, diff_var / 2.0)

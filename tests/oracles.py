@@ -1,13 +1,17 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is written from the defining formulas with plain loops
-and math.fsum, on purpose sharing no code path with the package.
+and math.fsum, on purpose sharing no code path with the package. The
+exceptions are the plain versions of code the package has since made
+faster (trace_csv_lines, fused_filter, noise_estimate): the fast code must
+give their output bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import statistics
 from datetime import datetime, timedelta, timezone
 from typing import Iterator, Mapping, Sequence
 
@@ -151,6 +155,45 @@ def kalman_filter(
         x, p, k = absorb(x, p, z)
         steps.append((forecast, x, p, k, z - forecast))
     return seed, steps
+
+
+def fused_filter(
+    values: Sequence[float], p0: float, q: float, r: float, m_t: float = 1.0
+) -> tuple[float, float, list[float], list[float], list[float], list[float], list[float]]:
+    """The filter as one fused predict/update loop, each float operation in
+    the order kalman.filter_series performs it.
+
+    Returns the seed estimate and variance, then the forecast, estimate,
+    variance, gain and innovation columns for every value after the first.
+    Performs no validation: a non-finite last estimate or variance is what
+    filter_series rejects.
+    """
+    forecasts, estimates, variances, gains, innovations = [], [], [], [], []
+    x, p = values[0], p0
+    for z in values:
+        denominator = p + r
+        k = p / denominator
+        innovation = z - x
+        forecasts.append(x)
+        x = x + k * innovation
+        p = min(p * r / denominator, p)
+        estimates.append(x)
+        variances.append(p)
+        gains.append(k)
+        innovations.append(innovation)
+        x, p = m_t * x, m_t * m_t * p + q
+    return estimates[0], variances[0], forecasts[1:], estimates[1:], variances[1:], gains[1:], innovations[1:]
+
+
+def noise_estimate(values: Sequence[float]) -> tuple[float, float]:
+    """kalman.estimate_noise from statistics.variance's exact-rational sums:
+    1e-6 times the value variance and half the first-difference variance,
+    or 1e-9 floors for a constant series. Lets OverflowError through."""
+    values_var = statistics.variance(values)
+    if values_var == 0:
+        return 1e-9, 1e-9
+    diff_var = statistics.variance([b - a for a, b in zip(values, values[1:])])
+    return 1e-6 * values_var, diff_var / 2.0
 
 
 def trace_csv_lines(series, trace, scale: float) -> Iterator[str]:

@@ -3,6 +3,8 @@
 import contextlib
 import math
 import random
+import struct
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,7 +13,7 @@ from flowcast.errors import DataError, DegenerateGain, InvalidParams, NonFiniteI
 from flowcast.kalman import FilterParams, estimate_noise, filter_series, forecast_next
 from flowcast.series import FlowSeries
 
-from oracles import kalman_filter, running_means, sample_variance
+from oracles import fused_filter, kalman_filter, noise_estimate, running_means, sample_variance
 
 
 def params(q=0.0, r=1.0, m_t=1.0):
@@ -188,6 +190,21 @@ class TestFilterSeries:
         with pytest.raises(SeriesTooShort):
             filter_series(series(100), params())
 
+    @pytest.mark.parametrize("q", [1e-3, 1e-300])  # the gain loop stops early, or runs every bin
+    def test_memory_peak_is_close_to_the_trace(self, q):
+        # The columns are built from the second bin on, with no slice
+        # copies, and each list is emptied once its tuple exists.
+        rng = random.Random(5)
+        observed = series(*(rng.uniform(0.0, 500.0) for _ in range(100_000)))
+        tracemalloc.start()
+        try:
+            trace = filter_series(observed, params(q=q, r=100.0))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.gains) == 99_999
+        assert peak - retained <= 20 * 100_000
+
     def test_trace_length_is_series_length_minus_one(self):
         trace = filter_series(series(1, 2, 3, 4, 5), params())
         assert [len(column) for column in columns(trace)] == [4] * 5
@@ -323,3 +340,116 @@ def test_vanishing_measurement_noise_drives_gain_to_one():
         if r <= 1e-9:
             for k in trace.gains:
                 assert k == pytest.approx(1.0, abs=1e-6)
+
+
+def bits(column):
+    """The IEEE bytes of a float column: equal only when every value is,
+    signed zeros and NaNs included."""
+    return struct.pack(f"<{len(column)}d", *column)
+
+
+def assert_matches_fused_loop(values, p0, q, r, m_t):
+    """filter_series against the fused loop it replaces, bit for bit; where
+    the loop ends on a non-finite state, filter_series must reject it."""
+    want = fused_filter(values, p0, q, r, m_t)
+    if not (math.isfinite(want[3][-1]) and math.isfinite(want[4][-1])):
+        with pytest.raises(NonFiniteInput):
+            filter_series(series(*values), params(q=q, r=r, m_t=m_t), p0=p0)
+        return None
+    trace = filter_series(series(*values), params(q=q, r=r, m_t=m_t), p0=p0)
+    got = (trace.initial_estimate, trace.initial_variance, *columns(trace))
+    assert bits(got[:2]) == bits(want[:2])
+    for got_column, want_column in zip(got[2:], want[2:]):
+        assert type(got_column) is tuple
+        assert bits(got_column) == bits(want_column)
+    return trace
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False) | edge_floats, min_size=2, max_size=40),
+    non_negative,
+    non_negative,
+    non_negative,
+    st.sampled_from([1.0, 0.99, -1.0, 1.5, 0.0, 1e10]),
+)
+def test_matches_fused_loop_bit_for_bit(values, p0, q, r, m_t):
+    assume(q + r > 0 and (p0 > 0 or r > 0))
+    assert_matches_fused_loop(values, p0, q, r, m_t)
+
+
+class TestGainRecursion:
+    """The gain and variance columns never read the data, so they can stop
+    being computed once the prior variance repeats; these cases pin where
+    that happens against the fused loop."""
+
+    def test_settles_at_the_first_step(self):
+        trace = assert_matches_fused_loop([3.0, 5.0, 4.0, 7.0], 0.0, 0.0, 1.0, 1.0)
+        assert bits(trace.gains) == bits([0.0] * 3)
+
+    def test_never_settles_when_the_prior_overflows(self):
+        # The prior reaches inf, then nan, which equals no earlier prior.
+        assert_matches_fused_loop([1.0, 2.0, 3.0, 4.0], 1.0, 1.0, 1.0, 1e200)
+
+    def test_never_settles_while_the_prior_grows(self):
+        values = [100.0 + (-1.0) ** i * i for i in range(36)]
+        trace = assert_matches_fused_loop(values, 1e6, 1e-6, 25.0, 1.5)
+        assert len(set(trace.variances)) > 30
+
+    def test_signed_zero_prior_is_not_a_repeat(self):
+        # p0 = -0.0 gives the seed a -0.0 gain and the next step a +0.0
+        # prior, which == calls equal to -0.0 but is not the same float.
+        trace = assert_matches_fused_loop([3.0, 5.0, 4.0, 7.0], -0.0, 0.0, 1.0, 1.0)
+        assert bits(trace.gains) == bits([0.0] * 3)
+
+    def test_settles_on_a_year(self):
+        rng = random.Random(13)
+        values = [max(0.0, 120.0 + 40.0 * math.sin(i / 45.8) + rng.gauss(0.0, 15.0)) for i in range(105_120)]
+        q, r = estimate_noise(series(*values))
+        trace = assert_matches_fused_loop(values, 1e6, q, r, 1.0)
+        assert len(set(trace.gains[10_000:])) == 1
+
+
+finite_bits = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0]).filter(math.isfinite)
+noise_series = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=30),
+    st.lists(finite_bits, min_size=3, max_size=30),
+    st.lists(st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)), min_size=3, max_size=30),
+    st.lists(st.integers(-4000, 4000).map(lambda i: i / 4), min_size=3, max_size=300),
+    st.lists(st.builds(math.ldexp, st.integers(-2**40, 2**40), st.sampled_from([-60, 0, 60])), min_size=3, max_size=30),
+    st.builds(lambda v, n: [v] * n, st.floats(allow_nan=False, allow_infinity=False) | edge_floats, st.integers(3, 10)),
+    st.lists(edge_floats, min_size=3, max_size=10),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(noise_series)
+def test_estimate_noise_matches_statistics_variance_bit_for_bit(values):
+    try:
+        want = noise_estimate(values)
+    except OverflowError:
+        with pytest.raises(DataError, match="overflow"):
+            estimate_noise(series(*values))
+        return
+    assert bits(estimate_noise(series(*values))) == bits(want)
+
+
+@pytest.mark.parametrize(
+    "values, want",
+    [
+        ([math.inf, 1.0, 2.0], (math.inf, -math.inf)),
+        ([math.nan, 1.0, 2.0], (math.nan, math.nan)),
+        ([math.inf, -math.inf, 1.0], (math.nan, math.nan)),
+        ([-math.inf, 1.0, 2.0], (-math.inf, math.inf)),
+        ([1.0, 2.0, math.inf], (math.inf, math.inf)),
+    ],
+)
+def test_non_finite_series_keep_their_results(values, want):
+    # The readers reject these values, but a FlowSeries built directly may
+    # hold them: estimate_noise gives what statistics.variance gives (the
+    # sum of the non-finite values, never a finite number) and the filter
+    # rejects the series.
+    got = [repr(v) for v in estimate_noise(series(*values))]
+    assert got == [repr(v) for v in want] == [repr(v) for v in noise_estimate(values)]
+    with pytest.raises(NonFiniteInput):
+        filter_series(series(*values), params(q=1.0, r=1.0))
