@@ -130,7 +130,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):

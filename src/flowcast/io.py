@@ -14,11 +14,13 @@ partial file.
 
 Counts and series CSVs in a plain form (no quotes, ISO timestamps or
 other bytes outside printable ASCII) are read in bulk, and any other file
-row by row; the two readers give the same result. The series and trace
-CSVs are written 4096 lines at a time. For each block the float columns
-are taken as one numpy array, repr runs once for each distinct bit
-pattern in it (so -0.0 and 0.0 keep their own text), and the lines are
-joined from those strings; the bytes are those of a per-row f-string.
+row by row; the two readers give the same result. A series read here
+holds its values as a read-only float64 array, as every FlowSeries and
+FilterTrace column is. The series and trace CSVs are written 4096 lines
+at a time. For each block the rows of the float columns are copied into
+one numpy array, repr runs once for each distinct bit pattern in it (so
+-0.0 and 0.0 keep their own text), and the lines are joined from those
+strings; the bytes are those of a per-row f-string of plain floats.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import json
 import math
 import os
 from array import array
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,7 +91,9 @@ def parse_timestamp(text: str, line: int = 0) -> int:
         moment = moment.replace(tzinfo=timezone.utc)
     elif moment.utcoffset() != timezone.utc.utcoffset(None):
         raise MalformedRow(line, f"timestamp {text!r} is not UTC")
-    return math.floor(moment.timestamp())
+    # Whole seconds by integer floor division: a float count of seconds
+    # rounds a fraction just under one second up on far dates.
+    return (moment - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(seconds=1)
 
 
 def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -418,7 +422,7 @@ def _read_series_rows(path: str | Path) -> FlowSeries:
     for i in range(1, len(starts)):
         if starts[i] - starts[i - 1] != spacing:
             raise MalformedRow(lines[i], "uneven bin spacing")
-    return FlowSeries(starts[0], spacing, tuple(values))
+    return FlowSeries(starts[0], spacing, values)
 
 
 def _read_series_plain(path: str | Path) -> FlowSeries:
@@ -433,7 +437,7 @@ def _read_series_plain(path: str | Path) -> FlowSeries:
     are parsed by float() itself, so they are the same floats. Any other
     file raises _NotPlain.
     """
-    values: list[float] = []
+    blocks: list[np.ndarray] = []  # the values of each block with rows
     bounds: list[int] = []  # the first and last bin start of each block with rows
     steps: set[int] = set()  # every difference between consecutive bin starts
     with open(path, "rb") as handle:
@@ -441,16 +445,17 @@ def _read_series_plain(path: str | Path) -> FlowSeries:
         for data, _ in _line_blocks(handle):
             stamps, block_values = _plain_series_rows(data)
             if len(stamps):
-                values += block_values
+                blocks.append(block_values)
                 bounds += (int(stamps[0]), int(stamps[-1]))
                 steps.update(np.unique(np.diff(stamps)).tolist())
     steps.update(first - last for last, first in zip(bounds[1::2], bounds[2::2]))
-    if len(values) < 2 or len(steps) != 1 or min(steps) <= 0:
+    # Fewer than two rows leave no step.
+    if len(steps) != 1 or min(steps) <= 0:
         raise _NotPlain
-    return FlowSeries(bounds[0], steps.pop(), values)
+    return FlowSeries(bounds[0], steps.pop(), np.concatenate(blocks))
 
 
-def _plain_series_rows(data: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def _plain_series_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bin starts and values of the rows in one block from _line_blocks.
 
     Raises _NotPlain unless every line of the block is blank or a plain
@@ -473,7 +478,7 @@ def _plain_series_rows(data: np.ndarray) -> tuple[np.ndarray, list[float]]:
     np.negative(stamps, out=stamps, where=negative)
     raw = data.tobytes()
     try:
-        values = [float(raw[begin:stop]) for begin, stop in zip((commas + 1).tolist(), ends.tolist())]
+        values = np.array([float(raw[begin:stop]) for begin, stop in zip((commas + 1).tolist(), ends.tolist())])
     except ValueError:
         raise _NotPlain from None
     if not np.isfinite(values).all():
@@ -502,17 +507,18 @@ def counts_csv_text(counts: ClassifiedCounts) -> str:
 _BLOCK_LINES = 4096
 
 
-def _float_csv_blocks(head: list[str], starts: range, columns: Callable[[int, int], np.ndarray]) -> Iterator[str]:
+def _float_csv_blocks(head: list[str], starts: range, columns: Sequence[np.ndarray]) -> Iterator[str]:
     """The head lines, then one line for each bin start with the floats of
     its row, as blocks of _BLOCK_LINES lines, each ending in a newline.
 
-    columns(lo, hi) gives the float columns of rows lo to hi - 1 as the
-    rows of a 2-D array. A row's line is its start, then each column's
-    float by repr, joined by commas.
+    columns are float64 columns as long as starts. A row's line is its
+    start, then each column's float by repr, joined by commas. Each block
+    copies only its own rows of the columns.
     """
     for lo in range(-len(head), len(starts), _BLOCK_LINES):
         lo, hi = max(lo, 0), lo + _BLOCK_LINES
-        yield "\n".join([*head, *_float_rows(starts[lo:hi], columns(lo, hi))]) + "\n"
+        block = np.array([column[lo:hi] for column in columns])
+        yield "\n".join([*head, *_float_rows(starts[lo:hi], block)]) + "\n"
         head = []
 
 
@@ -531,9 +537,7 @@ def _float_rows(starts: range, block: np.ndarray) -> Iterator[str]:
 
 def series_csv_text(series: FlowSeries) -> Iterator[str]:
     """Yield the series CSV in blocks of lines."""
-    return _float_csv_blocks(
-        [",".join(SERIES_HEADER)], series.bin_starts(), lambda lo, hi: np.array([series.values[lo:hi]])
-    )
+    return _float_csv_blocks([",".join(SERIES_HEADER)], series.bin_starts(), [series.values])
 
 
 def trace_csv_text(series: FlowSeries, trace: FilterTrace) -> Iterator[str]:
@@ -544,17 +548,9 @@ def trace_csv_text(series: FlowSeries, trace: FilterTrace) -> Iterator[str]:
     columns are empty.
     """
     starts = series.bin_starts()
-    first = f"{starts[0]},{series.values[0]!r},,{trace.initial_estimate!r},,"
-
-    def columns(lo: int, hi: int) -> np.ndarray:
-        return np.array([
-            series.values[lo + 1 : hi + 1],
-            trace.forecasts[lo:hi],
-            trace.estimates[lo:hi],
-            trace.gains[lo:hi],
-            trace.innovations[lo:hi],
-        ])
-
+    # repr of an np.float64 is "np.float64(...)" in numpy 2: write a plain float.
+    first = f"{starts[0]},{float(series.values[0])!r},,{float(trace.initial_estimate)!r},,"
+    columns = [series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations]
     return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:], columns)
 
 

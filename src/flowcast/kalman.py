@@ -28,20 +28,27 @@ predict/update step in the same order, so the columns are the floats that
 fused loop gives. The result is a FilterTrace: the seed posterior
 (estimate and variance) plus parallel columns (forecast, posterior
 estimate and variance, gain, innovation) with one entry per observation
-after the first.
+after the first, each a read-only 1-D float64 array.
+
+Both loops work on plain floats, which they append to stdlib float
+arrays (array("d"), 8 bytes a value); the estimate, variance and gain
+columns are numpy views of those buffers, so no list of float objects is
+built. The state loop carries only the estimate; the forecast and
+innovation columns are then one numpy operation each, which rounds as
+the loop would have.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from flowcast.errors import DataError, DegenerateGain, InvalidParams, NonFiniteInput, SeriesTooShort
-from flowcast.series import FlowSeries
+from flowcast.series import FlowSeries, columns_equal, float_column
 
 DEFAULT_INIT_VAR = 1e6
 
@@ -75,7 +82,7 @@ class FilterParams:
             raise InvalidParams("process_var + measurement_var must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterTrace:
     """The seed posterior, then one column entry per observation after the first.
 
@@ -83,16 +90,24 @@ class FilterTrace:
     the first observation. forecasts are the one-step-ahead predictions,
     each made before its observation was absorbed; estimates and variances
     are the posterior state; gains and innovations are each update's blend
-    weight and measurement residual.
+    weight and measurement residual. Each column is a read-only 1-D float64
+    array (see series.float_column). Traces are equal when every field is
+    (np.array_equal); a trace is not hashable.
     """
 
     initial_estimate: float
     initial_variance: float
-    forecasts: tuple[float, ...]
-    estimates: tuple[float, ...]
-    variances: tuple[float, ...]
-    gains: tuple[float, ...]
-    innovations: tuple[float, ...]
+    forecasts: np.ndarray
+    estimates: np.ndarray
+    variances: np.ndarray
+    gains: np.ndarray
+    innovations: np.ndarray
+
+    def __post_init__(self):
+        for name in ("forecasts", "estimates", "variances", "gains", "innovations"):
+            object.__setattr__(self, name, float_column(getattr(self, name)))
+
+    __eq__ = columns_equal
 
 
 class NoiseEstimate(NamedTuple):
@@ -124,8 +139,8 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
     if p0 == 0 and r == 0:
         raise DegenerateGain("prior variance and measurement noise are both zero")
     # Gain loop. The seed bin's prior is p0: no prediction step precedes it.
-    gains, variances, prior = [], [], p0
-    for _ in values:
+    gains, variances, prior = array("d"), array("d"), p0
+    for _ in range(len(values)):
         denominator = prior + r
         k = prior / denominator
         # Same quantity as (1 - k) * prior, written without the cancellation that
@@ -139,21 +154,19 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
         previous, prior = prior, m_t * m_t * post + q
         if prior == previous and math.copysign(1.0, prior) == math.copysign(1.0, previous):
             break
-    seed_gain, initial_variance = gains.pop(0), variances.pop(0)
-    gains.extend(repeat(k, len(values) - 1 - len(gains)))
-    variances.extend(repeat(post, len(values) - 1 - len(variances)))
+    # The settled tail repeats the last step, filled from it rather than looped.
+    for column in (gains, variances):
+        column.extend(column[-1:] * (len(values) - len(column)))
+    seed_gain, initial_variance = gains[0], variances[0]
 
     # State loop. Absorbing z[0] leaves a zero innovation, so the seed step
-    # conditions only the variance.
-    x = initial_estimate = first + seed_gain * (values[0] - first)
-    forecasts, estimates, innovations = [], [], []
-    for z, k in zip(islice(values, 1, None), gains):
+    # conditions only the variance. Only the estimate carries from bin to bin.
+    x = initial_estimate = first + seed_gain * (first - first)
+    estimates = array("d")
+    for z, k in zip(memoryview(values)[1:], memoryview(gains)[1:]):
         x = m_t * x
-        innovation = z - x
-        forecasts.append(x)
-        x = x + k * innovation
+        x = x + k * (z - x)
         estimates.append(x)
-        innovations.append(innovation)
 
     # Arithmetic on inf or nan gives inf or nan, and a non-finite variance
     # makes the gain and so the estimate nan: once a measurement or an
@@ -161,13 +174,15 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
     # last posterior covers every bin.
     _require_finite("estimate", estimates[-1])
     _require_finite("variance", variances[-1])
-    # Each list is emptied once its tuple exists, so the peak holds the
-    # trace plus about one column of pointers.
-    columns = []
-    for column in (forecasts, estimates, variances, gains, innovations):
-        columns.append(tuple(column))
-        column.clear()
-    return FilterTrace(initial_estimate, initial_variance, *columns)
+    # Each float array is viewed through a read-only memoryview: not copied, and not writable.
+    estimates, variances, gains = (np.frombuffer(memoryview(c).toreadonly()) for c in (estimates, variances, gains))
+    # A forecast is m_t times the estimate before it, and an innovation its
+    # observation less its forecast: one float operation each, which numpy
+    # rounds exactly as the loop did.
+    forecasts = m_t * np.concatenate(([initial_estimate], estimates[:-1]))
+    innovations = values[1:] - forecasts
+    forecasts.flags.writeable = innovations.flags.writeable = False
+    return FilterTrace(initial_estimate, initial_variance, forecasts, estimates, variances[1:], gains[1:], innovations)
 
 
 def forecast_next(estimate: float, params: FilterParams, horizon: int) -> list[float]:
@@ -175,7 +190,7 @@ def forecast_next(estimate: float, params: FilterParams, horizon: int) -> list[f
     estimate."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    x, out = estimate, []
+    x, out = float(estimate), []  # plain floats, whatever the estimate's type
     for _ in range(horizon):
         x = params.transition * x
         out.append(x)
@@ -220,16 +235,15 @@ def estimate_noise(series: FlowSeries) -> NoiseEstimate:
     A series holding inf or nan (the readers reject them, a FlowSeries built
     directly may not) gets the sum of those values: inf, -inf or nan.
     """
-    values = np.array(series.values)
-    if len(values) < 3:
-        raise SeriesTooShort(f"need at least 3 observations, got {len(values)}")
+    if len(series) < 3:
+        raise SeriesTooShort(f"need at least 3 observations, got {len(series)}")
 
     try:
-        values_var = _variance(values)
+        values_var = _variance(series.values)
         if values_var == 0:
             return NoiseEstimate(CONSTANT_SERIES_FLOOR, CONSTANT_SERIES_FLOOR)
         with np.errstate(invalid="ignore"):  # inf - inf is nan, as in float arithmetic
-            diff_var = _variance(np.diff(values))
+            diff_var = _variance(np.diff(series.values))
     except OverflowError:
         raise DataError("the noise variances of this series overflow a float; set q and r (--q, --r)") from None
     return NoiseEstimate(PROCESS_VAR_FLOOR_RATIO * values_var, diff_var / 2.0)

@@ -239,8 +239,7 @@ def build_report(
             f"expected {len(observed.values) - 1} predictions for {len(observed.values)} bins, "
             f"got {len(predictions)}"
         )
-    values = np.asarray(observed.values, dtype=float)
-    f, o = _paired_arrays(predictions, values[1:])
+    f, o = _paired_arrays(predictions, observed.values[1:])
     mape_percent, rmspe_percent = _percent_scores(f, o, denominator)
     r = pearson(f, o)
     return EvaluationReport(
@@ -248,7 +247,7 @@ def build_report(
         rmspe_percent=rmspe_percent,
         pearson_r=r,
         r_squared=r * r,
-        trend_slope=trend_slope(values),
+        trend_slope=trend_slope(observed.values),
         mape_band=mape_band(mape_percent),
         rmspe_band=rmspe_band(rmspe_percent),
         observed_stats=descriptive(o),

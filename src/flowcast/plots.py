@@ -201,7 +201,7 @@ def _m4(columns: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate(kept))
 
 
-def _polyline(frame: _Frame, values: Sequence[float], color: str) -> str:
+def _polyline(frame: _Frame, values: np.ndarray, color: str) -> str:
     """The line through (i, values[i]), keeping the M4 points of each 1 px column.
 
     M4 (Jugel et al. 2014) keeps the first, last, lowest and highest point
@@ -209,10 +209,9 @@ def _polyline(frame: _Frame, values: Sequence[float], color: str) -> str:
     The column is the floor of the x pixel, so a line of up to 557 points
     has at most two points a column and keeps all of them.
     """
-    v = np.asarray(values, dtype=float)
-    xs = frame.x(np.arange(v.size))
-    ys = frame.y(v)
-    kept = _m4(np.floor(xs), v)
+    xs = frame.x(np.arange(values.size))
+    ys = frame.y(values)
+    kept = _m4(np.floor(xs), values)
     points = " ".join(map("{:.2f},{:.2f}".format, xs[kept].tolist(), ys[kept].tolist()))
     return _tag("polyline", points=points, fill="none", stroke=color, stroke_width="1.5")
 
@@ -255,8 +254,6 @@ def render_plots(
     observed and predicted must be the aligned pair the report was built
     from (one value per forecasted bin).
     """
-    observed = np.asarray(observed, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
     documents = (
         histogram_svg(observed, histogram_bins, "Observed flow histogram (PCU per bin)", OBSERVED_COLOR),
         histogram_svg(predicted, histogram_bins, "Predicted flow histogram (PCU per bin)", PREDICTED_COLOR),

@@ -5,11 +5,14 @@ a record exactly on a boundary opens the next bin, so no count is ever
 double-placed. Interior bins with no records are zero-filled because the
 downstream filter needs an evenly spaced series. Trailing partial bins
 are kept as raw sums, not scaled to full-bin rates.
+
+A series holds its values as one read-only 1-D float64 array, like the
+columns of a kalman.FilterTrace (see float_column).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,18 +28,46 @@ MAX_BINS = 1_000_000
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
+def float_column(values) -> np.ndarray:
+    """values as a read-only 1-D float64 array.
+
+    A read-only float64 array is kept as it is; anything else is copied,
+    so a caller's writable array is never shared or frozen.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable):
+        values = np.array(values, dtype=np.float64)
+        values.flags.writeable = False
+    if values.ndim != 1:
+        raise ValueError(f"a column must be 1-D, got {values.ndim} dimensions")
+    return values
+
+
+def columns_equal(a, b) -> bool:
+    """__eq__ for the frozen dataclasses that hold columns: the same type
+    and every field equal, arrays by np.array_equal."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+@dataclass(frozen=True, eq=False)
 class FlowSeries:
-    """Evenly spaced PCU values, one per bin."""
+    """Evenly spaced PCU values, one per bin, as a read-only float64 array.
+
+    Two series are equal when their start, bin duration and values are
+    (np.array_equal); a series is not hashable.
+    """
 
     start_time: int
     bin_duration: int
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         if self.bin_duration <= 0:
             raise ValueError(f"bin_duration must be > 0, got {self.bin_duration}")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", float_column(self.values))
+
+    __eq__ = columns_equal
 
     def __len__(self) -> int:
         return len(self.values)
@@ -85,4 +116,4 @@ def aggregate(
     factors = np.array([table.factor(c) for c in VEHICLE_CLASSES])
     # bincount adds the weights in row order, as a per-record loop would.
     values = np.bincount(bin_index, weights=counts.counts * factors[counts.classes], minlength=n_bins)
-    return FlowSeries(start_time, bin_duration, values.tolist())
+    return FlowSeries(start_time, bin_duration, values)

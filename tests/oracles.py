@@ -203,10 +203,12 @@ def trace_csv_lines(series, trace, scale: float) -> Iterator[str]:
     estimate and the forecast, estimate, gain and innovation columns.
     Every float is written by repr, estimates times scale.
     """
-    starts = [series.start_time + i * series.bin_duration for i in range(len(series.values))]
+    values = series.values.tolist()
+    starts = [series.start_time + i * series.bin_duration for i in range(len(values))]
     yield "bin_start,observed,forecast,filtered,gain,innovation"
-    yield f"{starts[0]},{series.values[0]!r},,{scale * trace.initial_estimate!r},,"
-    columns = zip(starts[1:], series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations)
+    yield f"{starts[0]},{values[0]!r},,{scale * trace.initial_estimate!r},,"
+    trace_columns = (trace.forecasts, trace.estimates, trace.gains, trace.innovations)
+    columns = zip(starts[1:], values[1:], *(column.tolist() for column in trace_columns))
     for start, observed, forecast, estimate, gain, innovation in columns:
         yield f"{start},{observed!r},{forecast!r},{scale * estimate!r},{gain!r},{innovation!r}"
 

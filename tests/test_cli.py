@@ -99,6 +99,20 @@ class TestForecast:
         assert len(out_lines) == 4
         assert trace_path.exists()
 
+    # sha256 of the stdout of `simulate --preset P` then `forecast --horizon 3`,
+    # which pins each forecast's repr.
+    @pytest.mark.parametrize("preset, digest", [
+        ("paper-like", "c582ed5b0dc9cf341f7737df0ea4ed06c2b1e8d8958fb530567e1c035432bb37"),
+        ("steady", "94991ae284fcae9bd1b3e787ed2c5ba456ef0c1a4a0f3ba8c7180a8c5f7d045f"),
+        ("volatile", "74db89594ec18ab98024928581a0b2911941f2acd1789292f8662311c611d865"),
+    ])
+    def test_stdout_digest(self, tmp_path, capsys, preset, digest):
+        counts = tmp_path / "counts.csv"
+        assert run_cli("simulate", "--preset", preset, "--out", str(counts)) == 0
+        capsys.readouterr()
+        assert run_cli("forecast", str(counts), "--horizon", "3") == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_accepts_series_csv_too(self, tmp_path, counts_csv, capsys):
         series_path = tmp_path / "series.csv"
         assert run_cli("convert", str(counts_csv), "--out", str(series_path)) == 0
@@ -236,6 +250,19 @@ class TestConfigPrecedence:
         monkeypatch.chdir(tmp_path)
         assert run_cli("run", str(counts_csv), "--out-dir", ".") == 0
         assert (tmp_path / "report.json").exists()
+
+    def test_config_file_not_utf8_is_usage_error(self, tmp_path, counts_csv, capsys):
+        conf = tmp_path / "flowcast.conf"
+        conf.write_bytes(b"q=\xff\n")
+        assert run_cli("run", str(counts_csv), "--config", str(conf), "--out-dir", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err.startswith(f"flowcast: error: cannot read config file {conf}")
+
+    def test_env_config_file_not_utf8_is_usage_error(self, tmp_path, counts_csv, monkeypatch, capsys):
+        conf = tmp_path / "env.conf"
+        conf.write_bytes(b"out_dir=\xe9\n")
+        monkeypatch.setenv("FLOWCAST_CONFIG", str(conf))
+        assert run_cli("run", str(counts_csv)) == 1
+        assert capsys.readouterr().err.startswith(f"flowcast: error: cannot read config file {conf}")
 
     def test_missing_config_file_is_usage_error(self, tmp_path, counts_csv):
         assert run_cli("run", str(counts_csv), "--config", str(tmp_path / "nope.conf"),

@@ -98,6 +98,14 @@ class TestReadCountsCsv:
         assert records.timestamps.tolist() == [300, 600, 900]
         assert list(records.rows())[1][1] is VehicleClass.PRIVATE_CAR
 
+    @pytest.mark.parametrize("text, stamp", [
+        ("9999-12-31T23:59:58.999999Z", 253402300798),
+        ("0001-01-01T00:00:00.999999Z", -62135596800),
+    ])
+    def test_fraction_just_under_a_second_stays_in_its_second(self, text, stamp):
+        # A float count of seconds rounds these fractions up to the next second.
+        assert flowcast.io.parse_timestamp(text) == stamp
+
     def test_non_utc_offset_rejected(self, tmp_path):
         path = write(tmp_path, "counts.csv", "timestamp,vehicle_class,count\n1970-01-01T06:00:00+06:00,Bus,1\n")
         with pytest.raises(MalformedRow):
@@ -402,6 +410,26 @@ class TestSeriesCsv:
         path = tmp_path / "series.csv"
         atomic_write_text(path, series_csv_text(series))
         assert read_series_csv(path) == series
+
+    def test_retained_memory_is_the_columns(self, tmp_path):
+        # The series and the trace are six float64 columns, 48 bytes a bin
+        # in all; columns of float objects take 32 bytes a value. The warm-up
+        # read keeps one-off lazy imports out of the count.
+        bins = 100_000
+        rng = random.Random(4)
+        path = tmp_path / "series.csv"
+        path.write_text("bin_start,pcu\n" + "".join(f"{300 * i},{rng.uniform(0.0, 500.0)!r}\n" for i in range(bins)))
+        params = FilterParams(process_var=1e-3, measurement_var=100.0)
+        filter_series(read_series_csv(write(tmp_path, "warm.csv", "bin_start,pcu\n0,1.0\n300,2.0\n")), params)
+        tracemalloc.start()
+        try:
+            series = read_series_csv(path)
+            trace = filter_series(series, params)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.estimates) == bins - 1
+        assert retained <= 64 * bins
 
     def test_uneven_spacing_rejected(self, tmp_path):
         path = write(tmp_path, "series.csv", "bin_start,pcu\n0,1.0\n300,2.0\n700,3.0\n")

@@ -6,6 +6,7 @@ import random
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -25,7 +26,8 @@ def series(*values):
 
 
 def columns(trace):
-    return trace.forecasts, trace.estimates, trace.variances, trace.gains, trace.innovations
+    trace_columns = (trace.forecasts, trace.estimates, trace.variances, trace.gains, trace.innovations)
+    return tuple(tuple(column.tolist()) for column in trace_columns)
 
 
 def steps(trace, p):
@@ -71,8 +73,8 @@ class TestPredict:
     def test_identity_transition_adds_process_noise(self):
         # Seed p = 1/2; prior p = 1/2 + q = 3 shows in the gain 3 / (3 + r).
         trace = filter_series(series(100, 110), params(q=2.5, r=1.0), p0=1.0)
-        assert trace.forecasts == (100.0,)
-        assert trace.gains == (0.75,)
+        assert trace.forecasts.tolist() == [100.0]
+        assert trace.gains.tolist() == [0.75]
 
     def test_growth_transition(self):
         # Seed p = 1/2; prior x = 2 * 100, p = 2^2 * 1/2 + 1 = 3, so k = 3/4.
@@ -92,17 +94,17 @@ class TestGain:
     def test_equal_variances_split_evenly(self):
         # Seed k = 3/4 leaves p = 3/4; prior p = 3/4 + 1/4 equals r.
         trace = filter_series(series(100, 110), params(q=0.25, r=1.0), p0=3.0)
-        assert trace.gains == (0.5,)
+        assert trace.gains.tolist() == [0.5]
 
     def test_exact_measurement_dominates(self):
         trace = filter_series(series(100, 110), params(q=1.0, r=0.0), p0=1.0)
-        assert trace.gains == (1.0,)
-        assert trace.estimates == (110.0,)
-        assert trace.variances == (0.0,)
+        assert trace.gains.tolist() == [1.0]
+        assert trace.estimates.tolist() == [110.0]
+        assert trace.variances.tolist() == [0.0]
 
     def test_exact_prior_dominates(self):
         trace = filter_series(series(100, 110), params(q=0.0, r=1.0), p0=0.0)
-        assert trace.gains == (0.0,)
+        assert trace.gains.tolist() == [0.0]
 
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateGain):
@@ -116,20 +118,20 @@ class TestUpdate:
 
     def test_certain_prior_ignores_measurement(self):
         trace = filter_series(series(100, 110), params(q=0.0, r=1.0), p0=0.0)
-        assert trace.estimates == (100.0,)
-        assert trace.innovations == (10.0,)
+        assert trace.estimates.tolist() == [100.0]
+        assert trace.innovations.tolist() == [10.0]
 
     def test_rounding_never_raises_the_variance(self):
         # p * r / (p + r) rounds above p for this p0; the update keeps p.
         p0 = 1.9081128851953353e-20
         trace = filter_series(series(0, 0), params(q=0.0, r=3.0), p0=p0)
         assert trace.initial_variance == p0
-        assert trace.variances == (p0,)
+        assert trace.variances.tolist() == [p0]
 
     def test_zero_innovation_keeps_estimate(self):
         trace = filter_series(series(100, 100), params(r=3.7))
-        assert trace.innovations == (0.0,)
-        assert trace.estimates == (100.0,)
+        assert trace.innovations.tolist() == [0.0]
+        assert trace.estimates.tolist() == [100.0]
 
     def test_rejects_non_finite_measurement(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -205,6 +207,21 @@ class TestFilterSeries:
         assert len(trace.gains) == 99_999
         assert peak - retained <= 20 * 100_000
 
+    def test_columns_are_read_only_float64_arrays(self):
+        trace = filter_series(series(100, 110, 90, 130), params(q=1.0, r=4.0))
+        for column in (trace.forecasts, trace.estimates, trace.variances, trace.gains, trace.innovations):
+            assert (type(column), column.dtype, column.shape) == (np.ndarray, np.float64, (3,))
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        assert type(trace.initial_estimate) is float and type(trace.initial_variance) is float
+
+    def test_equality_compares_columns(self):
+        trace = filter_series(series(100, 110, 90), params(q=1.0, r=4.0))
+        assert trace == filter_series(series(100, 110, 90), params(q=1.0, r=4.0))
+        assert trace != filter_series(series(100, 110, 91), params(q=1.0, r=4.0))
+        with pytest.raises(TypeError):
+            hash(trace)
+
     def test_trace_length_is_series_length_minus_one(self):
         trace = filter_series(series(1, 2, 3, 4, 5), params())
         assert [len(column) for column in columns(trace)] == [4] * 5
@@ -216,7 +233,7 @@ class TestFilterSeries:
         trace_a = filter_series(series(*base), p)
         trace_b = filter_series(series(*changed), p)
         # Forecast at step i only uses observations before i.
-        assert trace_a.forecasts[:4] == trace_b.forecasts[:4]
+        assert trace_a.forecasts[:4].tolist() == trace_b.forecasts[:4].tolist()
 
 
 class TestForecastNext:
@@ -233,6 +250,13 @@ class TestForecastNext:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             forecast_next(0.0, params(), 0)
+
+    def test_numpy_estimate_gives_plain_floats(self):
+        # The CLI writes each forecast by repr, and numpy 2 writes an
+        # np.float64 as "np.float64(...)".
+        got = forecast_next(np.float64(2.5), params(m_t=2.0), 2)
+        assert got == [5.0, 10.0]
+        assert [type(value) for value in got] == [float, float]
 
 
 class TestEstimateNoise:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +23,7 @@ def counts(*rows):
 
 def test_single_record_single_bin():
     series = aggregate(counts((0, VehicleClass.BUS, 1)), TABLE, 300)
-    assert series.values == (3.0,)
+    assert series.values.tolist() == [3.0]
     assert series.start_time == 0
     assert series.bin_duration == 300
 
@@ -32,7 +33,7 @@ def test_two_records_same_half_open_bin():
         (0, VehicleClass.PRIVATE_CAR, 2),
         (299, VehicleClass.BICYCLE, 2),
     )
-    assert aggregate(records, TABLE, 300).values == (3.0,)
+    assert aggregate(records, TABLE, 300).values.tolist() == [3.0]
 
 
 def test_boundary_timestamp_opens_next_bin():
@@ -40,7 +41,7 @@ def test_boundary_timestamp_opens_next_bin():
         (0, VehicleClass.BUS, 1),
         (300, VehicleClass.BUS, 1),
     )
-    assert aggregate(records, TABLE, 300).values == (3.0, 3.0)
+    assert aggregate(records, TABLE, 300).values.tolist() == [3.0, 3.0]
 
 
 def test_start_time_truncates_down_to_bin_boundary():
@@ -53,7 +54,7 @@ def test_interior_bins_zero_filled():
         (0, VehicleClass.BUS, 1),
         (950, VehicleClass.BUS, 2),
     )
-    assert aggregate(records, TABLE, 300).values == (3.0, 0.0, 0.0, 6.0)
+    assert aggregate(records, TABLE, 300).values.tolist() == [3.0, 0.0, 0.0, 6.0]
 
 
 def test_explicit_start_time_excluding_record_fails():
@@ -73,6 +74,37 @@ def test_bad_bin_duration_rejected():
         aggregate(counts((0, VehicleClass.BUS, 1)), TABLE, 0)
     with pytest.raises(ValueError):
         FlowSeries(0, 0, (1.0,))
+
+
+class TestValues:
+    def test_read_only_float64_copy_of_a_sequence_or_array(self):
+        source = np.array([1.0, 2.5, 4.0])
+        for given_values in ([1, 2.5, 4], (1.0, 2.5, 4.0), source):
+            series = FlowSeries(0, 300, given_values)
+            assert (type(series.values), series.values.dtype) == (np.ndarray, np.float64)
+            assert series.values.tolist() == [1.0, 2.5, 4.0]
+            with pytest.raises(ValueError):
+                series.values[0] = 9.0
+        source[0] = 9.0  # the caller's writable array is copied, not shared
+        assert series.values[0] == 1.0
+
+    def test_read_only_float64_array_is_kept(self):
+        values = np.array([1.0, 2.0])
+        values.flags.writeable = False
+        assert FlowSeries(0, 300, values).values is values
+
+    def test_two_dimensional_values_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            FlowSeries(0, 300, [[1.0, 2.0]])
+
+    def test_equality_compares_values_and_hash_is_gone(self):
+        series = FlowSeries(0, 300, [1.0, 2.0])
+        assert series == FlowSeries(0, 300, np.array([1.0, 2.0]))
+        assert series != FlowSeries(0, 300, [1.0, 3.0])
+        assert series != FlowSeries(300, 300, [1.0, 2.0])
+        assert series != FlowSeries(0, 300, [1.0])
+        with pytest.raises(TypeError):
+            hash(series)
 
 
 record_lists = st.lists(
@@ -126,9 +158,9 @@ def test_pairwise_summed_bins_match_double_bin(records):
 def test_extreme_timestamps_and_bins(stamps, bin_duration, start_time, expected):
     records = counts(*[(stamp, VehicleClass.BUS, 1) for stamp in stamps])
     series = aggregate(records, TABLE, bin_duration, start_time)
-    assert series.values == expected
+    assert tuple(series.values.tolist()) == expected
     factors = {c.label: TABLE.factor(c) for c in VehicleClass}
-    assert (series.start_time, list(series.values)) == oracles.aggregate_counts(
+    assert (series.start_time, series.values.tolist()) == oracles.aggregate_counts(
         counts_csv_text(records), factors, bin_duration, start_time
     )
 

@@ -11,7 +11,7 @@ TABLE = PcuTable.default()
 
 
 def bin_pcu_totals(records, bin_duration=300):
-    return aggregate(records, TABLE, bin_duration).values
+    return aggregate(records, TABLE, bin_duration).values.tolist()
 
 
 def test_identical_scenarios_generate_identical_output():
