@@ -21,6 +21,8 @@ from typing import Sequence
 from flowcast.config import SETTINGS, RunConfig, config_file_from_env, load_config_file, resolve_config
 from flowcast.errors import ConfigError, DataError, InvalidParams, InvalidScenario
 from flowcast.io import (
+    TRACE_FILENAME,
+    TraceCsvWriter,
     atomic_write_text,
     counts_csv_text,
     parse_timestamp,
@@ -28,7 +30,6 @@ from flowcast.io import (
     read_series_csv,
     series_csv_text,
     sniff_input_kind,
-    trace_csv_text,
     write_report,
 )
 from flowcast.kalman import FilterParams, estimate_noise, filter_series, forecast_next
@@ -143,7 +144,8 @@ def _cmd_forecast(args: argparse.Namespace) -> None:
     params = _filter_params(config, series)
     trace = filter_series(series, params, config.init_var)
     if args.out:
-        atomic_write_text(args.out, trace_csv_text(series, trace))
+        with TraceCsvWriter(args.out, series, trace) as trace_csv:
+            trace_csv.finish()
         _note(f"wrote trace for {len(series)} bins to {args.out}")
     values = forecast_next(trace.estimates[-1], params, args.horizon)
     sys.stdout.write("step,pcu\n")
@@ -157,9 +159,11 @@ def _evaluate_series(series: FlowSeries, config: RunConfig) -> None:
     params = _filter_params(config, series)
     trace = filter_series(series, params, config.init_var)
     predictions = trace.forecasts if config.evaluate_mode == "predicted" else trace.estimates
-    report = build_report(series, predictions, config.percent_denominator)
-    paths = write_report(report, trace, series, params, config.init_var, config.out_dir)
-    paths += render_plots(series.values[1:], predictions, report, config.out_dir, config.histogram_bins)
+    # trace.csv is formatted in worker processes while this one scores and draws.
+    with TraceCsvWriter(config.out_dir / TRACE_FILENAME, series, trace) as trace_csv:
+        report = build_report(series, predictions, config.percent_denominator)
+        plots = render_plots(series.values[1:], predictions, report, config.out_dir, config.histogram_bins)
+        paths = write_report(report, trace_csv, params, config.init_var, config.out_dir) + plots
     _note(
         f"MAPE {report.mape_percent:.2f}% ({report.mape_band.value}), "
         f"RMSPE {report.rmspe_percent:.2f}% ({report.rmspe_band.value}), "

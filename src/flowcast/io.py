@@ -21,19 +21,34 @@ at a time. For each block the rows of the float columns are copied into
 one numpy array, repr runs once for each distinct bit pattern in it (so
 -0.0 and 0.0 keep their own text), and the lines are joined from those
 strings; the bytes are those of a per-row f-string of plain floats.
+
+TraceCsvWriter writes trace.csv in forked worker processes while the
+caller goes on. There are as many workers as the least of: the CPUs this
+process may run on (os.sched_getaffinity), the trace's blocks, and 4. Each
+writes a contiguous share of the blocks into its own part file beside the
+target, named trace.csv.<pid>-<random>.part<i>. The caller then copies the
+parts in order, 256 KiB at a time, into the temp file, which is synced and
+renamed. When there would be one worker (fewer than 4096 bins, one CPU,
+no os.sched_getaffinity, or another thread running), the calling process
+writes the trace itself, as it writes every other file. Whatever fails,
+every worker is killed and waited for and every part and temp file is
+removed; no trace.csv is published, and a previous one stays.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
 import os
+import shutil
+import threading
 from array import array
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,28 +66,36 @@ REPORT_FILENAME = "report.json"
 TRACE_FILENAME = "trace.csv"
 
 
-def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
-    """Write via a temp file and rename; readers never see a partial file.
+@contextlib.contextmanager
+def _atomic_file(path: Path, mode: str) -> Iterator[IO]:
+    """A new file, open in mode, that replaces path once the block ends.
 
-    text is the whole file, or its pieces in order, which are written one
-    at a time so the whole file need not be held at once. The temp file
-    has a unique name in the target's directory, so concurrent writers to
-    one path never share it; the last rename wins. It is synced before the
-    rename and removed if the write fails.
+    The temp file has a unique name in the target's directory, so
+    concurrent writers to one path never share it; the last rename wins.
+    It is synced before the rename and removed if the block fails.
     """
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write via a temp file and rename; readers never see a partial file.
+
+    text is the whole file, or its pieces in order, which are written one
+    at a time so the whole file need not be held at once.
+    """
+    with _atomic_file(Path(path), "w") as handle:
+        handle.writelines([text] if isinstance(text, str) else text)
 
 
 def parse_timestamp(text: str, line: int = 0) -> int:
@@ -447,7 +470,9 @@ def _read_series_plain(path: str | Path) -> FlowSeries:
             if len(stamps):
                 blocks.append(block_values)
                 bounds += (int(stamps[0]), int(stamps[-1]))
-                steps.update(np.unique(np.diff(stamps)).tolist())
+                gaps = np.diff(stamps)
+                if gaps.size:
+                    steps.update((int(gaps.min()), int(gaps.max())))
     steps.update(first - last for last, first in zip(bounds[1::2], bounds[2::2]))
     # Fewer than two rows leave no step.
     if len(steps) != 1 or min(steps) <= 0:
@@ -507,19 +532,20 @@ def counts_csv_text(counts: ClassifiedCounts) -> str:
 _BLOCK_LINES = 4096
 
 
-def _float_csv_blocks(head: list[str], starts: range, columns: Sequence[np.ndarray]) -> Iterator[str]:
+def _float_csv_blocks(head: list[str], starts: range, columns: Sequence[np.ndarray],
+                      blocks: slice = slice(None)) -> Iterator[str]:
     """The head lines, then one line for each bin start with the floats of
-    its row, as blocks of _BLOCK_LINES lines, each ending in a newline.
+    its row, as blocks of _BLOCK_LINES lines, each ending in a newline;
+    only the blocks that blocks selects are made.
 
     columns are float64 columns as long as starts. A row's line is its
     start, then each column's float by repr, joined by commas. Each block
     copies only its own rows of the columns.
     """
-    for lo in range(-len(head), len(starts), _BLOCK_LINES):
-        lo, hi = max(lo, 0), lo + _BLOCK_LINES
-        block = np.array([column[lo:hi] for column in columns])
-        yield "\n".join([*head, *_float_rows(starts[lo:hi], block)]) + "\n"
-        head = []
+    for lo in range(-len(head), len(starts), _BLOCK_LINES)[blocks]:
+        rows = slice(max(lo, 0), lo + _BLOCK_LINES)
+        block = np.array([column[rows] for column in columns])
+        yield "\n".join([*(head if lo < 0 else ()), *_float_rows(starts[rows], block)]) + "\n"
 
 
 def _float_rows(starts: range, block: np.ndarray) -> Iterator[str]:
@@ -540,9 +566,10 @@ def series_csv_text(series: FlowSeries) -> Iterator[str]:
     return _float_csv_blocks([",".join(SERIES_HEADER)], series.bin_starts(), [series.values])
 
 
-def trace_csv_text(series: FlowSeries, trace: FilterTrace) -> Iterator[str]:
+def trace_csv_text(series: FlowSeries, trace: FilterTrace, blocks: slice = slice(None)) -> Iterator[str]:
     """Yield trace.csv in blocks of lines: the per-bin observed, forecast
-    and filtered values, with each update's gain and innovation.
+    and filtered values, with each update's gain and innovation. blocks
+    selects which of the file's blocks to make, all by default.
 
     The first bin seeded the filter, so its forecast, gain and innovation
     columns are empty.
@@ -551,7 +578,7 @@ def trace_csv_text(series: FlowSeries, trace: FilterTrace) -> Iterator[str]:
     # repr of an np.float64 is "np.float64(...)" in numpy 2: write a plain float.
     first = f"{starts[0]},{float(series.values[0])!r},,{float(trace.initial_estimate)!r},,"
     columns = [series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations]
-    return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:], columns)
+    return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:], columns, blocks)
 
 
 def report_json_text(report: EvaluationReport, params: FilterParams, init_var: float) -> str:
@@ -568,18 +595,129 @@ def report_json_text(report: EvaluationReport, params: FilterParams, init_var: f
     return json.dumps(document, indent=2) + "\n"
 
 
-def write_report(
-    report: EvaluationReport,
-    trace: FilterTrace,
-    series: FlowSeries,
-    params: FilterParams,
-    init_var: float,
-    out_dir: str | Path,
-) -> list[Path]:
-    """Write report.json and trace.csv into out_dir; returns the paths."""
-    out_dir = Path(out_dir)
-    report_path = out_dir / REPORT_FILENAME
-    trace_path = out_dir / TRACE_FILENAME
+# The most processes one trace.csv is formatted by.
+_MAX_TRACE_WORKERS = 4
+
+
+def _worker_cpus() -> int:
+    """The CPUs this process may run on, as many as it may fork trace
+    workers for. 1 where the platform cannot tell (os.sched_getaffinity is
+    Linux-only), or where another thread runs, as a fork could then
+    deadlock on a lock that thread held."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class TraceCsvWriter(contextlib.AbstractContextManager):
+    """Writes trace.csv for a series and its trace to path, in worker
+    processes while the caller goes on with other work.
+
+    Made, it starts the workers; finish() waits for them and publishes the
+    file. Used as a context manager, it kills and waits for every worker
+    on leaving the block, whether or not finish() ran, and removes their
+    part files. When one process is to write the trace (see the module
+    docstring), it is this one, in finish().
+    """
+
+    def __init__(self, path: str | Path, series: FlowSeries, trace: FilterTrace):
+        self.path = Path(path)
+        self._series = series
+        self._trace = trace
+        self._workers = []  # (process, the reading end of its error pipe)
+        self._parts: list[Path] = []
+        blocks = -(-(len(series) + 1) // _BLOCK_LINES)  # a header line and one line a bin
+        count = min(_worker_cpus(), blocks, _MAX_TRACE_WORKERS)
+        if count > 1:
+            try:
+                self._start(blocks, count)
+            except BaseException:
+                self.close()
+                raise
+
+    def _start(self, blocks: int, count: int) -> None:
+        """Fork count workers, each writing a contiguous share of the blocks."""
+        import multiprocessing  # here, so that a small trace never pays for the import
+
+        # fork, not spawn: a worker inherits the series and trace instead of
+        # having them pickled to it, and needs no fresh import. _worker_cpus
+        # allows no fork while another thread runs.
+        context = multiprocessing.get_context("fork")
+        self.path.parent.mkdir(parents=True, exist_ok=True)  # the part files go beside the target
+        token = f"{os.getpid()}-{os.urandom(4).hex()}"
+        bounds = [blocks * i // count for i in range(count + 1)]
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            part = self.path.with_name(f"{self.path.name}.{token}.part{i}")
+            self._parts.append(part)
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(target=_write_trace_part,
+                                      args=(part, self._series, self._trace, slice(lo, hi), writer))
+            try:
+                process.start()
+            finally:
+                writer.close()  # so the reader sees EOF when the worker ends
+            self._workers.append((process, reader))
+
+    def finish(self) -> Path:
+        """Wait for the workers and publish their parts, in order, as the
+        file at path; returns path. A worker's exception is raised here; a
+        worker that exited nonzero without one raises OSError."""
+        try:
+            if not self._workers:
+                atomic_write_text(self.path, trace_csv_text(self._series, self._trace))
+                return self.path
+            for process, reader in self._workers:
+                try:
+                    error = reader.recv()
+                except EOFError:  # the worker ended without sending an exception
+                    error = None
+                process.join()
+                if error is not None:
+                    raise error
+                if process.exitcode:
+                    raise OSError(f"{self.path}: a trace.csv worker exited with code {process.exitcode}")
+            with _atomic_file(self.path, "wb") as handle:
+                for part in self._parts:
+                    with open(part, "rb") as source:
+                        shutil.copyfileobj(source, handle, _BLOCK_BYTES)
+            return self.path
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Kill any worker still running, wait for every one, and remove the part files."""
+        for process, reader in self._workers:
+            process.kill()  # no effect on a worker that has been joined
+            process.join()
+            process.close()
+            reader.close()
+        self._workers = []
+        for part in self._parts:
+            part.unlink(missing_ok=True)
+        self._parts = []
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _write_trace_part(path: Path, series: FlowSeries, trace: FilterTrace, blocks: slice, errors) -> None:
+    """A worker's work: the blocks of trace.csv that blocks selects, into a
+    new file at path. An exception is sent back through errors."""
+    import signal  # here, as importing flowcast.cli does not load it
+
+    # A Ctrl-C reaches the whole process group; only the main process acts
+    # on it, by killing the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        with open(path, "x", encoding="utf-8") as handle:
+            handle.writelines(trace_csv_text(series, trace, blocks))
+    except Exception as exc:
+        errors.send(exc)
+
+
+def write_report(report: EvaluationReport, trace_csv: TraceCsvWriter, params: FilterParams, init_var: float,
+                 out_dir: str | Path) -> list[Path]:
+    """Write report.json into out_dir, then finish trace_csv; returns the two paths."""
+    report_path = Path(out_dir) / REPORT_FILENAME
     atomic_write_text(report_path, report_json_text(report, params, init_var))
-    atomic_write_text(trace_path, trace_csv_text(series, trace))
-    return [report_path, trace_path]
+    return [report_path, trace_csv.finish()]

@@ -198,7 +198,9 @@ def _m4(columns: np.ndarray, values: np.ndarray) -> np.ndarray:
     for reduce in (np.minimum, np.maximum):
         extreme = np.repeat(reduce.reduceat(values, starts), sizes)
         kept.append(np.minimum.reduceat(np.where(values == extreme, index, values.size), starts))
-    return np.unique(np.concatenate(kept))
+    # Sorted, repeats dropped: a bare np.unique would import numpy.ma.
+    kept = np.sort(np.concatenate(kept))
+    return kept[np.diff(kept, prepend=-1) > 0]
 
 
 def _polyline(frame: _Frame, values: np.ndarray, color: str) -> str:

@@ -4,11 +4,16 @@ import ast
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import flowcast.cli
+import flowcast.io
 from flowcast.cli import cli_main
 from flowcast.io import read_counts_csv, read_series_csv
 from flowcast.pcu import PcuTable
@@ -385,6 +390,119 @@ class TestUsage:
         single = tmp_path / "one.csv"
         single.write_text("timestamp,vehicle_class,count\n0,Bus,1\n")
         assert run_cli("run", str(single), "--out-dir", str(tmp_path / "r")) == 2
+
+
+def _many_bins_counts(path, first_count=5):
+    """A counts CSV of 4,500 five-minute bins, more than one block of
+    trace.csv; the first bin's one record counts first_count vehicles."""
+    rows = [f"{300 * i},Bus,{first_count if i == 0 else 3 + i % 11}" for i in range(4_500)]
+    path.write_text("timestamp,vehicle_class,count\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def _leftovers(out_dir):
+    """Part and temp files in out_dir."""
+    return sorted(p.name for p in out_dir.iterdir() if p.suffix == ".tmp" or ".part" in p.name)
+
+
+class TestParallelTrace:
+    """run and evaluate on more bins than one block, with the trace written by two workers."""
+
+    @pytest.fixture(autouse=True)
+    def _two_workers(self, monkeypatch):
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
+
+    def test_outputs_match_one_process(self, tmp_path, monkeypatch):
+        counts = _many_bins_counts(tmp_path / "counts.csv")
+        assert run_cli("run", str(counts), "--out-dir", str(tmp_path / "two")) == 0
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 1)
+        assert run_cli("run", str(counts), "--out-dir", str(tmp_path / "one")) == 0
+        for name in ["report.json", "trace.csv", *PLOT_FILENAMES]:
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_into_a_directory_not_yet_made(self, tmp_path):
+        counts = _many_bins_counts(tmp_path / "counts.csv")
+        out_dir = tmp_path / "new" / "nested"
+        assert run_cli("run", str(counts), "--out-dir", str(out_dir)) == 0
+        assert {p.name for p in out_dir.iterdir()} == {"report.json", "trace.csv", *PLOT_FILENAMES}
+        assert len((out_dir / "trace.csv").read_text().splitlines()) == 1 + 4_500
+
+    def test_forecast_out_writes_the_same_trace(self, tmp_path, capsys):
+        counts = _many_bins_counts(tmp_path / "counts.csv")
+        assert run_cli("run", str(counts), "--out-dir", str(tmp_path / "run")) == 0
+        assert run_cli("forecast", str(counts), "--out", str(tmp_path / "fc" / "trace.csv")) == 0
+        assert (tmp_path / "fc" / "trace.csv").read_bytes() == (tmp_path / "run" / "trace.csv").read_bytes()
+        assert _leftovers(tmp_path / "fc") == []
+
+    def test_zero_first_bin_fails_and_leaves_nothing(self, tmp_path, capsys):
+        counts = _many_bins_counts(tmp_path / "counts.csv", first_count=0)
+        out_dir = tmp_path / "results"
+        assert run_cli("run", str(counts), "--out-dir", str(out_dir)) == 2
+        assert "index 0" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_worker_oserror_exits_2_with_its_message(self, tmp_path, monkeypatch, capsys):
+        def full(*args):
+            raise OSError("no room for the trace")
+
+        monkeypatch.setattr(flowcast.io, "_float_rows", full)  # only the workers format
+        counts = _many_bins_counts(tmp_path / "counts.csv")
+        out_dir = tmp_path / "results"
+        assert run_cli("run", str(counts), "--out-dir", str(out_dir)) == 2
+        assert "flowcast: error: no room for the trace" in capsys.readouterr().err
+        assert {p.name for p in out_dir.iterdir()} == {"report.json", *PLOT_FILENAMES}
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_silently_is_an_oserror(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def die(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            raise AssertionError("the trace was formatted in the main process")
+
+        monkeypatch.setattr(flowcast.io, "_float_rows", die)
+        counts = _many_bins_counts(tmp_path / "counts.csv")
+        out_dir = tmp_path / "results"
+        assert run_cli("run", str(counts), "--out-dir", str(out_dir)) == 2
+        assert "worker exited with code 7" in capsys.readouterr().err
+        assert _leftovers(out_dir) == [] and not (out_dir / "trace.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_while_scoring_stops_the_workers(self, tmp_path, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(flowcast.cli, "build_report", interrupted)
+        counts = _many_bins_counts(tmp_path / "counts.csv")
+        out_dir = tmp_path / "results"
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("run", str(counts), "--out-dir", str(out_dir))
+        assert list(out_dir.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+
+def test_run_and_evaluate_never_import_numpy_ma(tmp_path):
+    # numpy 2's np.unique and np.percentile import numpy.ma (about 16 ms)
+    # on their first use in a process; a short survey would pay it on
+    # every invocation.
+    script = (
+        "import sys\n"
+        "from flowcast.cli import cli_main\n"
+        "for argv in (['simulate', '--preset', 'steady', '--out', 'counts.csv'],\n"
+        "             ['convert', 'counts.csv', '--out', 'series.csv'],\n"
+        "             ['run', 'counts.csv', '--out-dir', 'run'],\n"
+        "             ['evaluate', 'series.csv', '--out-dir', 'evaluate']):\n"
+        "    assert cli_main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    assert (tmp_path / "evaluate" / "report.json").exists()
 
 
 def test_cli_binds_every_benchmark_layer_name():

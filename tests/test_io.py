@@ -2,12 +2,16 @@
 
 import json
 import math
+import multiprocessing
+import os
 import random
 import re
+import signal
 import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from flowcast.io import (
     report_json_text,
     series_csv_text,
     sniff_input_kind,
+    TraceCsvWriter,
     trace_csv_text,
     write_report,
 )
@@ -639,10 +644,16 @@ def _report_fixture():
     return series, params, trace, report
 
 
+def _write_report(report, trace, series, params, init_var, out_dir):
+    """write_report, with trace.csv from a TraceCsvWriter made here."""
+    trace_csv = TraceCsvWriter(Path(out_dir) / "trace.csv", series, trace)
+    return write_report(report, trace_csv, params, init_var, out_dir)
+
+
 class TestReportWriting:
     def test_report_json_schema_keys(self, tmp_path):
         series, params, trace, report = _report_fixture()
-        paths = write_report(report, trace, series, params, 1e6, tmp_path)
+        paths = _write_report(report, trace, series, params, 1e6, tmp_path)
         document = json.loads(paths[0].read_text())
         assert document["schema"] == 1
         assert list(document) == [
@@ -669,8 +680,8 @@ class TestReportWriting:
 
     def test_report_and_trace_are_byte_stable(self, tmp_path):
         series, params, trace, report = _report_fixture()
-        first = write_report(report, trace, series, params, 1e6, tmp_path / "a")
-        second = write_report(report, trace, series, params, 1e6, tmp_path / "b")
+        first = _write_report(report, trace, series, params, 1e6, tmp_path / "a")
+        second = _write_report(report, trace, series, params, 1e6, tmp_path / "b")
         assert first[0].read_bytes() == second[0].read_bytes()
         assert first[1].read_bytes() == second[1].read_bytes()
 
@@ -718,7 +729,7 @@ class TestReportWriting:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         series, params, trace, report = _report_fixture()
         with pytest.raises(OSError):
-            write_report(report, trace, series, params, 1e6, "/proc/flowcast-denied")
+            _write_report(report, trace, series, params, 1e6, "/proc/flowcast-denied")
 
 
 # Floats whose text is easy to get wrong: signed zeros, subnormals, the
@@ -830,6 +841,100 @@ class TestTraceWriter:
         finally:
             tracemalloc.stop()
         assert peak <= 4_000_000
+
+
+def _gamma_trace(length, seed):
+    """A series of length bins of gamma-distributed flow, and its trace."""
+    rng = np.random.default_rng(seed)
+    series = FlowSeries(1_704_067_200, 300, np.round(rng.gamma(4.0, 25.0, length), 2))
+    return series, filter_series(series, FilterParams(process_var=2.0, measurement_var=300.0))
+
+
+class TestParallelTraceWriter:
+    """TraceCsvWriter's forked workers against the trace written in one process."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 5])
+    @pytest.mark.parametrize("length", [4096, 8191, 8192, 16_390])
+    def test_any_worker_count_writes_the_same_bytes(self, tmp_path, monkeypatch, workers, length):
+        series, trace = _gamma_trace(length, length)
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: workers)
+        with TraceCsvWriter(tmp_path / "trace.csv", series, trace) as trace_csv:
+            blocks = -(-(length + 1) // flowcast.io._BLOCK_LINES)
+            assert len(trace_csv._workers) == min(workers, blocks, flowcast.io._MAX_TRACE_WORKERS)
+            path = trace_csv.finish()
+        assert path.read_text() == "".join(trace_csv_text(series, trace))
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_one_cpu_and_every_cpu_write_the_same_bytes(self, tmp_path):
+        series, trace = _gamma_trace(20_000, 5)
+        cpus = os.sched_getaffinity(0)
+        workers = min(len(cpus), flowcast.io._MAX_TRACE_WORKERS)
+        try:
+            os.sched_setaffinity(0, {min(cpus)})
+            with TraceCsvWriter(tmp_path / "one" / "trace.csv", series, trace) as trace_csv:
+                assert trace_csv._workers == []
+                one = trace_csv.finish().read_bytes()
+        finally:
+            os.sched_setaffinity(0, cpus)
+        with TraceCsvWriter(tmp_path / "all" / "trace.csv", series, trace) as trace_csv:
+            assert len(trace_csv._workers) == (workers if workers > 1 else 0)
+            every = trace_csv.finish().read_bytes()
+        assert every == one
+        assert one == ("\n".join(oracles.trace_csv_lines(series, trace, 1.0)) + "\n").encode()
+
+    def test_a_running_thread_keeps_the_trace_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flowcast.io.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert flowcast.io._worker_cpus() == 4
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert flowcast.io._worker_cpus() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_a_worker_ignores_ctrl_c(self, tmp_path, monkeypatch):
+        series, trace = _gamma_trace(10_000, 4)
+        expected = "".join(trace_csv_text(series, trace))
+        float_rows = flowcast.io._float_rows
+
+        def interrupted(starts, block):
+            os.kill(os.getpid(), signal.SIGINT)
+            return float_rows(starts, block)
+
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
+        monkeypatch.setattr(flowcast.io, "_float_rows", interrupted)  # only the workers format
+        with TraceCsvWriter(tmp_path / "trace.csv", series, trace) as trace_csv:
+            assert trace_csv.finish().read_text() == expected
+
+    def test_parent_memory_peak_on_a_year_is_a_few_blocks(self, tmp_path, monkeypatch):
+        # The workers format the trace; this process holds only a copy
+        # buffer and the workers' handles, within the 4 MB the one-process
+        # writer is held to above.
+        series, trace = _gamma_trace(105_120, 12)
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            with TraceCsvWriter(tmp_path / "trace.csv", series, trace) as trace_csv:
+                trace_csv.finish()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
+        assert (tmp_path / "trace.csv").stat().st_size > 100 * len(series) // 2
+
+    def test_leaving_the_block_unfinished_kills_the_workers(self, tmp_path, monkeypatch):
+        series, trace = _gamma_trace(30_000, 3)
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 3)
+        with pytest.raises(KeyboardInterrupt):
+            with TraceCsvWriter(tmp_path / "trace.csv", series, trace):
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
 
 class TestConfig:

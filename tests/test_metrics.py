@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowcast.errors import (
     EmptyInput,
@@ -15,15 +15,15 @@ from flowcast.errors import (
     ZeroVariance,
 )
 from flowcast.metrics import (
+    _quartiles,
     MapeBand,
     RmspeBand,
     build_report,
     descriptive,
     histogram,
-    mape,
     mape_band,
     pearson,
-    rmspe,
+    percent_scores,
     rmspe_band,
     trend_slope,
 )
@@ -34,38 +34,38 @@ import oracles
 
 class TestMape:
     def test_perfect_forecast(self):
-        assert mape([100.0, 200.0], [100.0, 200.0]) == 0.0
+        assert percent_scores([100.0, 200.0], [100.0, 200.0])[0] == 0.0
 
     def test_single_pair_hand_value(self):
-        assert mape([100.0], [90.0]) == pytest.approx(10.0, rel=1e-12)
+        assert percent_scores([100.0], [90.0])[0] == pytest.approx(10.0, rel=1e-12)
 
     def test_two_pair_hand_value(self):
-        assert mape([100.0, 100.0], [90.0, 120.0]) == pytest.approx(15.0, rel=1e-12)
+        assert percent_scores([100.0, 100.0], [90.0, 120.0])[0] == pytest.approx(15.0, rel=1e-12)
 
     def test_observed_denominator_switch(self):
-        assert mape([100.0], [90.0], denominator="observed") == pytest.approx(100.0 * 10.0 / 90.0, rel=1e-12)
+        assert percent_scores([100.0], [90.0], denominator="observed")[0] == pytest.approx(100.0 * 10.0 / 90.0, rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            mape([1.0], [1.0, 2.0])
+            percent_scores([1.0], [1.0, 2.0])
         with pytest.raises(LengthMismatch):
-            mape([], [])
+            percent_scores([], [])
 
     def test_zero_denominator_reports_index(self):
         with pytest.raises(ZeroDenominator) as excinfo:
-            mape([1.0, 0.0], [1.0, 1.0])
+            percent_scores([1.0, 0.0], [1.0, 1.0])
         assert excinfo.value.index == 1
 
 
 class TestRmspe:
     def test_perfect_forecast(self):
-        assert rmspe([50.0, 60.0], [50.0, 60.0]) == 0.0
+        assert percent_scores([50.0, 60.0], [50.0, 60.0])[1] == 0.0
 
     def test_single_pair_equals_percent_error(self):
-        assert rmspe([100.0], [90.0]) == pytest.approx(10.0, rel=1e-12)
+        assert percent_scores([100.0], [90.0])[1] == pytest.approx(10.0, rel=1e-12)
 
     def test_two_pair_hand_value(self):
-        assert rmspe([100.0, 100.0], [90.0, 120.0]) == pytest.approx(100.0 * math.sqrt(0.025), rel=1e-12)
+        assert percent_scores([100.0, 100.0], [90.0, 120.0])[1] == pytest.approx(100.0 * math.sqrt(0.025), rel=1e-12)
 
 
 class TestPearson:
@@ -297,7 +297,8 @@ nonzero_values = st.lists(
 def test_rmspe_dominates_mape(forecast, observed):
     n = min(len(forecast), len(observed))
     f, o = forecast[:n], observed[:n]
-    assert rmspe(f, o) >= mape(f, o) - 1e-9
+    mape, rmspe = percent_scores(f, o)
+    assert rmspe >= mape - 1e-9
 
 
 @given(
@@ -308,10 +309,10 @@ def test_rmspe_dominates_mape(forecast, observed):
 def test_percent_errors_are_scale_invariant(forecast, observed, scale):
     n = min(len(forecast), len(observed))
     f, o = forecast[:n], observed[:n]
-    scaled_mape = mape([scale * v for v in f], [scale * v for v in o])
-    scaled_rmspe = rmspe([scale * v for v in f], [scale * v for v in o])
-    assert scaled_mape == pytest.approx(mape(f, o), rel=1e-12, abs=1e-12)
-    assert scaled_rmspe == pytest.approx(rmspe(f, o), rel=1e-12, abs=1e-12)
+    scaled_mape, scaled_rmspe = percent_scores([scale * v for v in f], [scale * v for v in o])
+    mape, rmspe = percent_scores(f, o)
+    assert scaled_mape == pytest.approx(mape, rel=1e-12, abs=1e-12)
+    assert scaled_rmspe == pytest.approx(rmspe, rel=1e-12, abs=1e-12)
 
 
 @given(
@@ -326,6 +327,18 @@ def test_descriptive_shift_moves_location_not_spread(values, shift):
     assert moved.min == pytest.approx(base.min + shift, rel=1e-9, abs=1e-6)
     assert moved.max == pytest.approx(base.max + shift, rel=1e-9, abs=1e-6)
     assert moved.std_dev == pytest.approx(base.std_dev, rel=1e-6, abs=1e-6)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e300]) | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=60))
+def test_quartiles_are_np_percentile_bit_for_bit(values):
+    # Signed zeros and ties included: the sign of a zero quartile depends
+    # on how the partition arranged equal values.
+    a = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # a spread near the float limit overflows in both
+        want = np.percentile(a, [25.0, 50.0, 75.0])
+        assert np.array(_quartiles(a)).tobytes() == want.tobytes()
 
 
 @given(st.permutations(list(range(12))))
