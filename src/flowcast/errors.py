@@ -77,6 +77,14 @@ class ZeroVariance(DataError):
     variances are too small for their product to be a float."""
 
 
+class ScoreOverflow(DataError):
+    """A score or statistic of finite values that is too large for a float."""
+
+    def __init__(self, score: str):
+        self.score = score
+        super().__init__(f"{score} overflows a float: the values are too large to score")
+
+
 class LengthMismatch(DataError):
     """Paired series of different (or zero) lengths."""
 

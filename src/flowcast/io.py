@@ -12,15 +12,19 @@ Floats are written with repr so re-parsing loses nothing. All writes go
 through a temp file and rename, so an interrupted run never leaves a
 partial file.
 
-Counts and series CSVs in a plain form (no quotes, ISO timestamps or
-other bytes outside printable ASCII) are read in bulk, and any other file
-row by row; the two readers give the same result. A series read here
-holds its values as a read-only float64 array, as every FlowSeries and
-FilterTrace column is. The series and trace CSVs are written 4096 lines
-at a time. For each block the rows of the float columns are copied into
-one numpy array, repr runs once for each distinct bit pattern in it (so
--0.0 and 0.0 keep their own text), and the lines are joined from those
-strings; the bytes are those of a per-row f-string of plain floats.
+Counts and series CSVs in a plain form are read in bulk, and any other
+file row by row; the two readers give the same result. The plain counts
+form has no quotes, ISO timestamps or other bytes outside printable ASCII
+and is parsed with numpy 256 KiB at a time. The plain series form is what
+np.loadtxt reads as integer bin starts and finite values, padded with
+whitespace or not; underscores in numbers, '#' lines and ISO timestamps
+are left to the row loop. A series read here holds its values as a
+read-only float64 array, as every FlowSeries and FilterTrace column is.
+The series and trace CSVs are written 4096 lines at a time. For each
+block the rows of the float columns are copied into one numpy array, repr
+runs once for each distinct bit pattern in it (so -0.0 and 0.0 keep their
+own text), and the lines are joined from those strings; the bytes are
+those of a per-row f-string of plain floats.
 
 TraceCsvWriter writes trace.csv in forked worker processes while the
 caller goes on. There are as many workers as the least of: the CPUs this
@@ -45,6 +49,7 @@ import math
 import os
 import shutil
 import threading
+import warnings
 from array import array
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -312,17 +317,14 @@ def _line_blocks(handle) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield data[: kept + 1], words
 
 
-def _plain_lines(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _plain_lines(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The starts and ends of the filled lines in one block from _line_blocks,
-    an end leaving out the CR before its LF, and the count of LF bytes and
-    of CR bytes before an LF."""
+    an end leaving out the CR before its LF."""
     ends = np.flatnonzero(data == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    crlf = data[ends - 1] == ord("\r")
-    terminators = len(ends) + np.count_nonzero(crlf)
-    ends -= crlf
+    ends -= data[ends - 1] == ord("\r")
     filled = ends > starts
-    return starts[filled], ends[filled], terminators
+    return starts[filled], ends[filled]
 
 
 def _plain_rows(data: np.ndarray, words: np.ndarray, class_index: dict[bytes, int]):
@@ -330,7 +332,7 @@ def _plain_rows(data: np.ndarray, words: np.ndarray, class_index: dict[bytes, in
 
     Raises _NotPlain unless every line of the block is blank or a plain row.
     """
-    starts, ends, _ = _plain_lines(data)
+    starts, ends = _plain_lines(data)
     commas = np.flatnonzero(data == ord(","))
     if len(commas) != 2 * len(starts):
         raise _NotPlain
@@ -449,66 +451,35 @@ def _read_series_rows(path: str | Path) -> FlowSeries:
 
 
 def _read_series_plain(path: str | Path) -> FlowSeries:
-    """read_series_csv for a valid file in the plain form, read a block at a time.
+    """read_series_csv for a valid file in the plain form, read whole by np.loadtxt.
 
     The plain form has the line ends, blank lines and header of the plain
-    counts form (see _read_counts_plain), and then at least two rows, each
-    of exactly two fields: an optional '-' and 1-18 ASCII digits, and a
-    finite number that float() reads, in printable ASCII without a quote.
-    The bin starts must be evenly spaced and increasing. csv.reader,
-    int() and float() read such a file just as this does, and the values
-    are parsed by float() itself, so they are the same floats. Any other
-    file raises _NotPlain.
+    counts form (see _read_counts_plain), and then at least two rows of
+    ASCII, each of exactly two fields: an integer that fits in an int64
+    and a finite number, each maybe padded with whitespace, as np.loadtxt
+    reads them. The bin starts must be evenly spaced and increasing.
+    csv.reader, int() and float() read such a file just as this does. Any
+    other file raises _NotPlain, and so does any warning from np.loadtxt:
+    an empty body, or, in numpy 1.x, an integer read through a float.
     """
-    blocks: list[np.ndarray] = []  # the values of each block with rows
-    bounds: list[int] = []  # the first and last bin start of each block with rows
-    steps: set[int] = set()  # every difference between consecutive bin starts
-    with open(path, "rb") as handle:
+    with open(path, "rb") as handle, warnings.catch_warnings():
         _plain_header(handle, SERIES_HEADER)
-        for data, _ in _line_blocks(handle):
-            stamps, block_values = _plain_series_rows(data)
-            if len(stamps):
-                blocks.append(block_values)
-                bounds += (int(stamps[0]), int(stamps[-1]))
-                gaps = np.diff(stamps)
-                if gaps.size:
-                    steps.update((int(gaps.min()), int(gaps.max())))
-    steps.update(first - last for last, first in zip(bounds[1::2], bounds[2::2]))
-    # Fewer than two rows leave no step.
-    if len(steps) != 1 or min(steps) <= 0:
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(handle, dtype=[("stamp", np.int64), ("value", np.float64)], delimiter=",",
+                              comments=None, encoding="ascii", ndmin=1)
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            raise _NotPlain from None
+    stamps, values = rows["stamp"], rows["value"]
+    if len(stamps) < 2 or not np.isfinite(values).all():
         raise _NotPlain
-    return FlowSeries(bounds[0], steps.pop(), np.concatenate(blocks))
-
-
-def _plain_series_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bin starts and values of the rows in one block from _line_blocks.
-
-    Raises _NotPlain unless every line of the block is blank or a plain
-    row with a finite value.
-    """
-    starts, ends, terminators = _plain_lines(data)
-    # Every byte must be printable ASCII other than a quote, but for the
-    # LFs and the CRs just before them.
-    special = (data < 0x20) | (data > 0x7E) | (data == ord('"'))
-    if np.count_nonzero(special) != terminators:
+    gaps = np.diff(stamps)
+    first, step = int(stamps[0]), int(gaps[0])
+    # np.diff wraps a gap beyond the int64 range, which could make uneven
+    # or decreasing starts look even; the last start, in Python ints, cannot.
+    if step <= 0 or gaps.min() != gaps.max() or int(stamps[-1]) - first != step * len(gaps):
         raise _NotPlain
-    # The commas in order, one a row. The digits before each must start
-    # at its row's start, so a row with other than one comma fails their
-    # check.
-    commas = np.flatnonzero(data == ord(","))
-    if len(commas) != len(starts):
-        raise _NotPlain
-    negative = data[starts] == ord("-")
-    stamps = _decimals(data, starts + negative, commas)
-    np.negative(stamps, out=stamps, where=negative)
-    raw = data.tobytes()
-    try:
-        values = np.array([float(raw[begin:stop]) for begin, stop in zip((commas + 1).tolist(), ends.tolist())])
-    except ValueError:
-        raise _NotPlain from None
-    if not np.isfinite(values).all():
-        raise _NotPlain
-    return stamps, values
+    return FlowSeries(first, step, values)
 
 
 def sniff_input_kind(path: str | Path) -> str:

@@ -20,6 +20,7 @@ from flowcast.errors import (
     EmptyInput,
     LengthMismatch,
     NegativeMetric,
+    ScoreOverflow,
     SeriesTooShort,
     ZeroDenominator,
     ZeroVariance,
@@ -134,6 +135,8 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     scale = math.sqrt(sxx * syy)
     if scale == 0.0:
         raise ZeroVariance("correlation is undefined: the product of the variances underflows")
+    if math.isinf(scale):
+        raise ScoreOverflow("pearson_r")
     r = math.fsum((xc * yc).tolist()) / scale
     return max(-1.0, min(1.0, r))
 
@@ -249,16 +252,27 @@ def build_report(
             f"got {len(predictions)}"
         )
     f, o = _paired_arrays(predictions, observed.values[1:])
-    mape_percent, rmspe_percent = percent_scores(f, o, denominator)
-    r = pearson(f, o)
+    mape_percent, rmspe_percent = _score("mape_percent or rmspe_percent", percent_scores, f, o, denominator)
+    r = _score("pearson_r", pearson, f, o)
     return EvaluationReport(
         mape_percent=mape_percent,
         rmspe_percent=rmspe_percent,
         pearson_r=r,
         r_squared=r * r,
-        trend_slope=trend_slope(observed.values),
+        trend_slope=_score("trend_slope", trend_slope, observed.values),
         mape_band=mape_band(mape_percent),
         rmspe_band=rmspe_band(rmspe_percent),
-        observed_stats=descriptive(o),
-        predicted_stats=descriptive(f),
+        observed_stats=_score("observed_stats", descriptive, o),
+        predicted_stats=_score("predicted_stats", descriptive, f),
     )
+
+
+def _score(name: str, compute, *args):
+    """compute(*args), with a numpy overflow or invalid operation, or a
+    math.fsum overflow, raised as ScoreOverflow for the score called name
+    rather than warned about or left in the report as inf or nan."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return compute(*args)
+    except (FloatingPointError, OverflowError):
+        raise ScoreOverflow(name) from None

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,28 @@ class TestRunAndEvaluate:
         assert run_cli("evaluate", str(path), "--out-dir", str(tmp_path / "r")) == 2
         err = capsys.readouterr().err
         assert "overflow" in err and "--q" in err
+
+    @pytest.mark.parametrize("values", ["1e200,3e200,2e200,5e200", "1e300,1.5e308,1e300,1e308"])
+    def test_score_overflow_is_data_error(self, tmp_path, capsys, values):
+        # Finite values whose squared deviations overflow a float.
+        path = tmp_path / "huge.csv"
+        path.write_text("bin_start,pcu\n" + "".join(f"{300 * i},{v}\n" for i, v in enumerate(values.split(","))))
+        out_dir = tmp_path / "r"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("evaluate", str(path), "--q", "1", "--r", "1", "--out-dir", str(out_dir)) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "flowcast: error: pearson_r overflows a float: the values are too large to score\n"
+        assert not out_dir.exists()
+
+    def test_header_only_series_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("bin_start,pcu\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("evaluate", str(path), "--out-dir", str(tmp_path / "r")) == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"flowcast: error: {path}: no data rows\n"
 
     def test_both_noises_zero_is_usage_error(self, tmp_path, counts_csv):
         assert run_cli("run", str(counts_csv), "--q", "0", "--r", "0", "--out-dir", str(tmp_path / "r")) == 1

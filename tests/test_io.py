@@ -541,7 +541,9 @@ class TestPlainSeriesReader:
     def test_plain_files_read_as_the_row_loop_reads_them(self, tmp_path, raw):
         path = tmp_path / "series.csv"
         path.write_bytes(raw)
-        assert _series_outcome(_read_series_plain, path) == _series_outcome(_read_series_rows, path)
+        # np.loadtxt reads no underscore in a number, so those files are the row loop's.
+        read = read_series_csv if re.search(rb"\d_", raw) else _read_series_plain
+        assert _series_outcome(read, path) == _series_outcome(_read_series_rows, path)
 
     def test_rows_straddling_blocks(self, tmp_path):
         rng = random.Random(10)
@@ -566,10 +568,10 @@ class TestPlainSeriesReader:
             b"\n\r\nbin_start,pcu\n\n0,1.5\n\r\n\n300,2.5\n\n",
             b"bin_start,pcu\n0,1.5\n300,2.5",
             b"bin_start,pcu\n-0,-0.0\n300,0.0\n600,-0\n",
-            b"bin_start,pcu\n-600,1_0\n-300,1_0.5\n",
             b"bin_start,pcu\n0, 1.5\n300,2.5  \n",
+            b"bin_start,pcu\n0,1.5\t\n300,2.5\n",
         ],
-        ids=["bom", "crlf", "blank-lines", "no-final-lf", "signed-zeros", "underscores", "padded-values"],
+        ids=["bom", "crlf", "blank-lines", "no-final-lf", "signed-zeros", "padded-values", "tab"],
     )
     def test_plain_cases_are_read_in_bulk(self, tmp_path, raw):
         path = tmp_path / "series.csv"
@@ -581,7 +583,7 @@ class TestPlainSeriesReader:
         [
             b'bin_start,pcu\n0,"1.5"\n300,2.5\n',
             b"bin_start,pcu\n0,1.5\r300,2.5\n",
-            b"bin_start,pcu\n0,1.5\t\n300,2.5\n",
+            b"bin_start,pcu\n-600,1_0\n-300,1_0.5\n",
             b"bin_start,pcu\n0,1.5\n300,2.5\xc2\xa0\n",
             b"bin_start,pcu\n0,nan\n300,2.5\n",
             b"bin_start,pcu\n0,1.5\n300,-inf\n",
@@ -596,10 +598,17 @@ class TestPlainSeriesReader:
             b"bin_start,pcu\n0,1.5\n300\n",
             b"bin_start,pcu\n0,\n300,2.5\n",
             b"bin_start,pcu,extra\n0,1.5\n300,2.5\n",
+            b"bin_start,pcu\n0.0,1.5\n300.0,2.5\n",
+            b"bin_start,pcu\n1e3,1.5\n1.3e3,2.5\n",
+            b"bin_start,pcu\n0,1.5\n \t\n300,2.5\n",
+            b"bin_start,pcu\n# a comment\n0,1.5\n300,2.5\n",
+            b"bin_start,pcu\n0,1.5\n300,Infinity\n",
+            b"bin_start,pcu\n9000000000000000000,1.5\n-9000000000000000000,2.5\n",
         ],
-        ids=["quote", "lone-cr", "tab", "non-ascii", "nan", "inf", "iso-stamp", "underscore-stamp", "uneven",
+        ids=["quote", "lone-cr", "underscores", "non-ascii", "nan", "inf", "iso-stamp", "underscore-stamp", "uneven",
              "repeated-stamp", "decreasing", "one-row", "no-rows", "three-fields", "one-field", "empty-value",
-             "bad-header"],
+             "bad-header", "float-stamps", "exponent-stamps", "whitespace-line", "hash-line", "infinity",
+             "gap-past-int64"],
     )
     def test_other_files_are_read_by_the_row_loop(self, tmp_path, raw):
         path = tmp_path / "series.csv"
@@ -618,6 +627,24 @@ class TestPlainSeriesReader:
         path = tmp_path / "series.csv"
         path.write_bytes(mutated)
         assert _series_outcome(read_series_csv, path) == _series_outcome(_read_series_rows, path)
+
+    def test_memory_peak_on_a_year(self, tmp_path):
+        # np.loadtxt holds the rows as (int64, float64) pairs, 16 bytes a
+        # bin, and the series copies out the values. On this year of bins
+        # the reader peaks at 3.4 MB, and the block-at-a-time byte parser
+        # it replaced at 3.8 MB.
+        rng = np.random.default_rng(12)
+        series = FlowSeries(1_704_067_200, 300, np.round(rng.gamma(4.0, 25.0, 105_120), 2))
+        path = tmp_path / "series.csv"
+        atomic_write_text(path, series_csv_text(series))
+        tracemalloc.start()
+        try:
+            read = read_series_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == series
+        assert peak <= 4_000_000
 
 
 class TestCountsCsvWriter:

@@ -1,6 +1,7 @@
 """Accuracy metrics, descriptive statistics, bands, trend and histogram."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from flowcast.errors import (
     EmptyInput,
     LengthMismatch,
     NegativeMetric,
+    ScoreOverflow,
     SeriesTooShort,
     ZeroDenominator,
     ZeroVariance,
@@ -100,6 +102,13 @@ class TestPearson:
         # Each sum of squares is about 1e-285, and their product underflows to 0.
         with pytest.raises(ZeroVariance, match="underflows"):
             pearson([0.0, 4.979100994143697e-143], [0.0, 4.979100994143697e-143])
+
+    def test_overflowing_variances_raise_score_overflow(self):
+        # Each sum of squares is about 1e161, and their product overflows;
+        # dividing by it would give 0.
+        values = [1e80, 3e80, 2e80, 5e80]
+        with pytest.raises(ScoreOverflow, match="pearson_r"):
+            pearson(values, values)
 
     @given(st.integers(2, 80).flatmap(lambda n: st.tuples(
         st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
@@ -388,3 +397,19 @@ def test_build_report_length_check():
     observed = FlowSeries(0, 300, (1.0, 2.0, 3.0))
     with pytest.raises(LengthMismatch):
         build_report(observed, (1.0,))
+
+
+@pytest.mark.parametrize(
+    "observed, predictions, score",
+    [
+        ((1.0, 1e10, 2e10, 3e10), (1e-300, 1.0, 2.0), "mape_percent or rmspe_percent"),
+        ((1.7e308, 1.0, 2.0, 4.0), (1.0, 2.5, 3.0), "trend_slope"),
+    ],
+    ids=["percent-errors", "trend"],
+)
+def test_build_report_names_an_overflowing_score(observed, predictions, score):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScoreOverflow) as excinfo:
+            build_report(FlowSeries(0, 300, observed), predictions)
+    assert excinfo.value.score == score
