@@ -80,18 +80,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _filter_params(config: RunConfig, series: FlowSeries) -> FilterParams:
-    process_var = config.process_var
-    measurement_var = config.measurement_var
-    if process_var is None or measurement_var is None:
+    q, r = config.process_var, config.measurement_var
+    if q is None or r is None:
         estimated = estimate_noise(series)
-        if process_var is None:
-            process_var = estimated.process_var
-        if measurement_var is None:
-            measurement_var = estimated.measurement_var
+        q = estimated.process_var if q is None else q
+        r = estimated.measurement_var if r is None else r
     try:
-        return FilterParams(process_var, measurement_var, config.transition)
+        return FilterParams(q, r, config.transition, config.init_var)
     except InvalidParams as exc:
-        # Both noises explicitly configured to zero is a usage problem.
+        # Settings that leave the filter without a gain (q = r = 0, or
+        # p0 = r = 0) are a usage problem.
         raise ConfigError(str(exc)) from None
 
 
@@ -142,7 +140,7 @@ def _cmd_forecast(args: argparse.Namespace) -> None:
     config = _resolve_config(args)
     series = _load_series(args.input, config)
     params = _filter_params(config, series)
-    trace = filter_series(series, params, config.init_var)
+    trace = filter_series(series, params)
     if args.out:
         with TraceCsvWriter(args.out, series, trace) as trace_csv:
             trace_csv.finish()
@@ -157,13 +155,13 @@ def _evaluate_series(series: FlowSeries, config: RunConfig) -> None:
     if config.out_dir is None:
         raise ConfigError("an output directory is required (--out-dir or out_dir in the config)")
     params = _filter_params(config, series)
-    trace = filter_series(series, params, config.init_var)
+    trace = filter_series(series, params)
     predictions = trace.forecasts if config.evaluate_mode == "predicted" else trace.estimates
     # trace.csv is formatted in worker processes while this one scores and draws.
     with TraceCsvWriter(config.out_dir / TRACE_FILENAME, series, trace) as trace_csv:
         report = build_report(series, predictions, config.percent_denominator)
         plots = render_plots(series.values[1:], predictions, report, config.out_dir, config.histogram_bins)
-        paths = write_report(report, trace_csv, params, config.init_var, config.out_dir) + plots
+        paths = write_report(report, trace_csv, params, config.out_dir) + plots
     _note(
         f"MAPE {report.mape_percent:.2f}% ({report.mape_band.value}), "
         f"RMSPE {report.rmspe_percent:.2f}% ({report.rmspe_band.value}), "

@@ -16,6 +16,7 @@ from typing import Any, Callable, Mapping
 from flowcast.errors import ConfigError
 from flowcast.kalman import DEFAULT_INIT_VAR
 from flowcast.pcu import DEFAULT_FACTORS, PcuTable, VehicleClass
+from flowcast.plots import MAX_HISTOGRAM_BINS
 from flowcast.series import DEFAULT_BIN_DURATION
 
 ENV_CONFIG_VAR = "FLOWCAST_CONFIG"
@@ -55,8 +56,8 @@ class RunConfig:
             )
         if self.evaluate_mode not in EVALUATE_MODES:
             raise ConfigError(f"evaluate_mode must be one of {EVALUATE_MODES}, got {self.evaluate_mode!r}")
-        if self.histogram_bins < 1:
-            raise ConfigError(f"histogram_bins must be >= 1, got {self.histogram_bins}")
+        if not 1 <= self.histogram_bins <= MAX_HISTOGRAM_BINS:
+            raise ConfigError(f"histogram_bins must be from 1 to {MAX_HISTOGRAM_BINS}, got {self.histogram_bins}")
         for cls, factor in self.pcu_overrides.items():
             if not (math.isfinite(factor) and factor > 0):
                 raise ConfigError(f"pcu.{cls.label} must be finite and > 0, got {factor}")
@@ -106,7 +107,7 @@ SETTINGS = (
             "divide percent errors by the forecast (default) or the observed value", PERCENT_DENOMINATORS),
     Setting("evaluate_mode", "evaluate_mode", str, None,
             "score one-step-ahead forecasts (default) or filtered estimates", EVALUATE_MODES),
-    Setting("histogram_bins", "histogram_bins", int, "N", "histogram bin count for plots (default 8)"),
+    Setting("histogram_bins", "histogram_bins", int, "N", f"histogram bins, 1 to {MAX_HISTOGRAM_BINS} (default 8)"),
     Setting("out_dir", "out_dir", _out_dir, "DIR", "directory for report.json, trace.csv and the plots"),
 )
 
@@ -124,12 +125,13 @@ def _parse(key: str, parse: Callable[[str], Any], text: str) -> Any:
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat key=value file; '#' starts a comment line.
 
-    Only LF ends a line, and a CR before it is dropped, so a form feed or
-    a Unicode line separator stays inside its line.
+    The file may start with a UTF-8 BOM. Only LF ends a line, and a CR
+    before it is dropped, so a form feed or a Unicode line separator stays
+    inside its line.
     """
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}

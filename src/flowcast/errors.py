@@ -64,10 +64,6 @@ class InvalidParams(DataError):
     """Filter parameters or state outside their valid domain."""
 
 
-class DegenerateGain(DataError):
-    """Gain denominator is zero: no prior uncertainty and no measurement noise."""
-
-
 class SeriesTooShort(DataError):
     """The series has fewer values than the operation requires."""
 

@@ -552,7 +552,7 @@ def trace_csv_text(series: FlowSeries, trace: FilterTrace, blocks: slice = slice
     return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:], columns, blocks)
 
 
-def report_json_text(report: EvaluationReport, params: FilterParams, init_var: float) -> str:
+def report_json_text(report: EvaluationReport, params: FilterParams) -> str:
     document = {"schema": 1}
     document.update(dataclasses.asdict(report))
     document["params"] = {
@@ -561,7 +561,7 @@ def report_json_text(report: EvaluationReport, params: FilterParams, init_var: f
         "m_m": 1.0,
         "q": params.process_var,
         "r": params.measurement_var,
-        "p0": init_var,
+        "p0": params.init_var,
     }
     return json.dumps(document, indent=2) + "\n"
 
@@ -686,9 +686,9 @@ def _write_trace_part(path: Path, series: FlowSeries, trace: FilterTrace, blocks
         errors.send(exc)
 
 
-def write_report(report: EvaluationReport, trace_csv: TraceCsvWriter, params: FilterParams, init_var: float,
+def write_report(report: EvaluationReport, trace_csv: TraceCsvWriter, params: FilterParams,
                  out_dir: str | Path) -> list[Path]:
     """Write report.json into out_dir, then finish trace_csv; returns the two paths."""
     report_path = Path(out_dir) / REPORT_FILENAME
-    atomic_write_text(report_path, report_json_text(report, params, init_var))
+    atomic_write_text(report_path, report_json_text(report, params))
     return [report_path, trace_csv.finish()]

@@ -10,11 +10,11 @@ Relatively large measurement noise pushes the estimate toward the model;
 relatively small measurement noise pushes it toward the data.
 
 The filter is initialized from the first observation: the estimate starts
-at z[0] under a diffuse prior variance p0, and the first observation is
-then absorbed as a measurement (zero innovation, so only the variance is
-conditioned). This gives the first observation the same weight as every
-later one; with transition = 1, process_var = 0 and a diffuse p0 the
-posterior is exactly the running mean of the series.
+at z[0] under a diffuse prior variance init_var (the p0 setting), and the
+first observation is then absorbed as a measurement (zero innovation, so
+only the variance is conditioned). This gives the first observation the
+same weight as every later one; with transition = 1, process_var = 0 and a
+diffuse init_var the posterior is exactly the running mean of the series.
 
 filter_series runs the recursion as two plain-float loops. The variance
 and gain recursion never reads the data and settles to a steady state
@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from flowcast.errors import DataError, DegenerateGain, InvalidParams, NonFiniteInput, SeriesTooShort
+from flowcast.errors import DataError, InvalidParams, NonFiniteInput, SeriesTooShort
 from flowcast.series import FlowSeries, columns_equal, float_column
 
 DEFAULT_INIT_VAR = 1e6
@@ -67,19 +67,23 @@ def _require_finite(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Model constants: noise variances plus the transition multiplier."""
+    """The filter's settings: the noise variances, the transition multiplier
+    and init_var, the prior variance of the seed step (the p0 setting)."""
 
     process_var: float
     measurement_var: float
     transition: float = 1.0
+    init_var: float = DEFAULT_INIT_VAR
 
     def __post_init__(self):
-        for name in ("process_var", "measurement_var", "transition"):
+        for name in ("process_var", "measurement_var", "transition", "init_var"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.process_var < 0 or self.measurement_var < 0:
-            raise InvalidParams("noise variances must be >= 0")
-        if self.process_var + self.measurement_var <= 0:
-            raise InvalidParams("process_var + measurement_var must be > 0")
+        if min(self.process_var, self.measurement_var, self.init_var) < 0:
+            raise InvalidParams("variances must be >= 0")
+        # The seed step's prior variance is p0 and every later one is at
+        # least q, so with r = 0 a zero in either leaves a gain of 0 / 0.
+        if min(self.process_var, self.init_var) + self.measurement_var <= 0:
+            raise InvalidParams("q and p0 must be > 0 when r is 0, or the filter's gain is 0 / 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +119,7 @@ class NoiseEstimate(NamedTuple):
     measurement_var: float
 
 
-def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_INIT_VAR) -> FilterTrace:
+def filter_series(series: FlowSeries, params: FilterParams) -> FilterTrace:
     """Run the full recursion over an observed series.
 
     The first observation seeds the state (see module docstring); every
@@ -129,17 +133,10 @@ def filter_series(series: FlowSeries, params: FilterParams, p0: float = DEFAULT_
     if len(values) < 2:
         raise SeriesTooShort(f"need at least 2 observations, got {len(values)}")
     first = _require_finite("first_observation", values[0])
-    p0 = _require_finite("p0", p0)
-    if p0 < 0:
-        raise InvalidParams(f"p0 must be >= 0, got {p0}")
 
     m_t, q, r = params.transition, params.process_var, params.measurement_var
-    # Only the seed step can have no gain: every later prior variance is at
-    # least q, and FilterParams makes q + r > 0.
-    if p0 == 0 and r == 0:
-        raise DegenerateGain("prior variance and measurement noise are both zero")
-    # Gain loop. The seed bin's prior is p0: no prediction step precedes it.
-    gains, variances, prior = array("d"), array("d"), p0
+    # Gain loop. The seed bin's prior is init_var: no prediction step precedes it.
+    gains, variances, prior = array("d"), array("d"), params.init_var
     for _ in range(len(values)):
         denominator = prior + r
         k = prior / denominator

@@ -29,6 +29,8 @@ MARGIN_LEFT = 64.0
 MARGIN_RIGHT = 20.0
 MARGIN_TOP = 42.0
 MARGIN_BOTTOM = 46.0
+# The most bins a histogram figure takes: one a pixel column of the plot area.
+MAX_HISTOGRAM_BINS = int(WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
 
 OBSERVED_COLOR = "#1f6fb4"
 PREDICTED_COLOR = "#d97706"

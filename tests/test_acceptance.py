@@ -122,8 +122,8 @@ def test_criterion_04_filter_matches_running_mean_oracle():
         for _ in range(200):
             n = rng.randint(2, 32)
             values = [rng.uniform(1.0, 1000.0) for _ in range(n)]
-            params = FilterParams(process_var=0.0, measurement_var=rng.uniform(0.05, 100.0))
-            trace = filter_series(FlowSeries(0, 300, tuple(values)), params, p0=1e12)
+            params = FilterParams(process_var=0.0, measurement_var=rng.uniform(0.05, 100.0), init_var=1e12)
+            trace = filter_series(FlowSeries(0, 300, tuple(values)), params)
             expected = oracles.running_means(values)
             for estimate, want in zip(trace.estimates, expected):
                 assert abs(estimate - want) <= 1e-6 * abs(want)
@@ -140,9 +140,9 @@ def test_criterion_05_filter_invariants_hold():
             params = FilterParams(
                 process_var=rng.uniform(1e-6, 500.0),
                 measurement_var=rng.uniform(1e-6, 500.0),
+                init_var=rng.uniform(0.0, 1e7),
             )
-            p0 = rng.uniform(0.0, 1e7)
-            trace = filter_series(FlowSeries(0, 300, tuple(values)), params, p0=p0)
+            trace = filter_series(FlowSeries(0, 300, tuple(values)), params)
             previous_estimate, previous_variance = trace.initial_estimate, trace.initial_variance
             columns = zip(trace.forecasts, trace.estimates, trace.variances, trace.gains, trace.innovations)
             for forecast, estimate, variance, gain, innovation in columns:
@@ -164,7 +164,7 @@ def test_criterion_05_filter_invariants_hold():
             if n >= 3:
                 split = rng.randint(1, n - 2)
                 altered = values[: split + 1] + [rng.uniform(0.0, 5000.0) for _ in range(n - split - 1)]
-                altered_trace = filter_series(FlowSeries(0, 300, tuple(altered)), params, p0=p0)
+                altered_trace = filter_series(FlowSeries(0, 300, tuple(altered)), params)
                 assert trace.forecasts[:split].tolist() == altered_trace.forecasts[:split].tolist()
         assert time.perf_counter() - started < 5.0
 

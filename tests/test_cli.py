@@ -226,6 +226,30 @@ class TestRunAndEvaluate:
     def test_both_noises_zero_is_usage_error(self, tmp_path, counts_csv):
         assert run_cli("run", str(counts_csv), "--q", "0", "--r", "0", "--out-dir", str(tmp_path / "r")) == 1
 
+    @pytest.mark.parametrize("settings", [("--q", "0", "--r", "0"), ("--p0", "0", "--r", "0", "--q", "1")],
+                             ids=["q-and-r-zero", "p0-and-r-zero"])
+    def test_settings_that_leave_no_gain_are_usage_errors(self, tmp_path, counts_csv, capsys, settings):
+        # With r = 0 a zero q, or a zero p0, makes a gain 0 / 0: both are the user's settings.
+        series_csv = tmp_path / "series.csv"
+        assert run_cli("convert", str(counts_csv), "--out", str(series_csv)) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "r"
+        assert run_cli("evaluate", str(series_csv), *settings, "--out-dir", str(out_dir)) == 1
+        message = "q and p0 must be > 0 when r is 0, or the filter's gain is 0 / 0"
+        assert capsys.readouterr().err == f"flowcast: error: {message}\n"
+        assert not (out_dir / "report.json").exists()
+
+    def test_histogram_bins_are_bounded_by_the_plot_width(self, tmp_path, counts_csv, capsys):
+        # One bin a pixel column of the 556 px plot area.
+        assert run_cli("run", str(counts_csv), "--histogram-bins", "556", "--out-dir", str(tmp_path / "a")) == 0
+        capsys.readouterr()
+        # Checked before the input is read: a missing input would exit 2.
+        for source in (counts_csv, tmp_path / "missing.csv"):
+            out_dir = tmp_path / "b"
+            assert run_cli("run", str(source), "--histogram-bins", "557", "--out-dir", str(out_dir)) == 1
+            assert capsys.readouterr().err == "flowcast: error: histogram_bins must be from 1 to 556, got 557\n"
+            assert not out_dir.exists()
+
 
 class TestConfigPrecedence:
     def test_config_file_applies(self, tmp_path, counts_csv):

@@ -666,21 +666,21 @@ class TestCountsCsvWriter:
 def _report_fixture():
     series = FlowSeries(0, 300, (100.0, 112.0, 108.0, 123.0, 131.0, 127.0))
     params = FilterParams(process_var=4.0, measurement_var=36.0)
-    trace = filter_series(series, params, p0=1e6)
+    trace = filter_series(series, params)
     report = build_report(series, trace.forecasts)
     return series, params, trace, report
 
 
-def _write_report(report, trace, series, params, init_var, out_dir):
+def _write_report(report, trace, series, params, out_dir):
     """write_report, with trace.csv from a TraceCsvWriter made here."""
     trace_csv = TraceCsvWriter(Path(out_dir) / "trace.csv", series, trace)
-    return write_report(report, trace_csv, params, init_var, out_dir)
+    return write_report(report, trace_csv, params, out_dir)
 
 
 class TestReportWriting:
     def test_report_json_schema_keys(self, tmp_path):
         series, params, trace, report = _report_fixture()
-        paths = _write_report(report, trace, series, params, 1e6, tmp_path)
+        paths = _write_report(report, trace, series, params, tmp_path)
         document = json.loads(paths[0].read_text())
         assert document["schema"] == 1
         assert list(document) == [
@@ -697,7 +697,7 @@ class TestReportWriting:
 
     def test_report_json_round_trips_metric_values(self, tmp_path):
         series, params, trace, report = _report_fixture()
-        text = report_json_text(report, params, 1e6)
+        text = report_json_text(report, params)
         document = json.loads(text)
         assert document["mape_percent"] == report.mape_percent
         assert document["rmspe_percent"] == report.rmspe_percent
@@ -707,8 +707,8 @@ class TestReportWriting:
 
     def test_report_and_trace_are_byte_stable(self, tmp_path):
         series, params, trace, report = _report_fixture()
-        first = _write_report(report, trace, series, params, 1e6, tmp_path / "a")
-        second = _write_report(report, trace, series, params, 1e6, tmp_path / "b")
+        first = _write_report(report, trace, series, params, tmp_path / "a")
+        second = _write_report(report, trace, series, params, tmp_path / "b")
         assert first[0].read_bytes() == second[0].read_bytes()
         assert first[1].read_bytes() == second[1].read_bytes()
 
@@ -756,7 +756,7 @@ class TestReportWriting:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         series, params, trace, report = _report_fixture()
         with pytest.raises(OSError):
-            _write_report(report, trace, series, params, 1e6, "/proc/flowcast-denied")
+            _write_report(report, trace, series, params, "/proc/flowcast-denied")
 
 
 # Floats whose text is easy to get wrong: signed zeros, subnormals, the
@@ -822,7 +822,7 @@ class TestTraceWriter:
         rng = np.random.default_rng(seed)
         series = FlowSeries(0, 300, [pool[i] for i in rng.integers(len(pool), size=length).tolist()])
         params = FilterParams(process_var=2.0, measurement_var=5.0, transition=transition)
-        trace = filter_series(series, params, p0=1e6)
+        trace = filter_series(series, params)
         expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, 1.0)))
         assert list(trace_csv_text(series, trace)) == expected
 
@@ -1005,7 +1005,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "text",
-        ["bin_duration=0", "p0=-1", "m_t=nan", "q=-2", "histogram_bins=0",
+        ["bin_duration=0", "p0=-1", "m_t=nan", "q=-2", "histogram_bins=0", "histogram_bins=557",
          "evaluate_mode=both", "percent_denominator=mean", "bin_duration=abc"],
     )
     def test_bad_values_rejected(self, tmp_path, text):
@@ -1021,6 +1021,13 @@ class TestConfig:
         path = write(tmp_path, "flowcast.conf", "just a line\n")
         with pytest.raises(ConfigError):
             load_config_file(path)
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        plain, bom = tmp_path / "plain.conf", tmp_path / "bom.conf"
+        plain.write_bytes(b"histogram_bins=5\n")
+        bom.write_bytes(b"\xef\xbb\xbfhistogram_bins=5\n")
+        assert load_config_file(bom) == load_config_file(plain) == {"histogram_bins": "5"}
+        assert resolve_config(load_config_file(bom)) == resolve_config(load_config_file(plain))
 
     def test_only_lf_ends_a_comment_line(self, tmp_path):
         path = write(tmp_path, "flowcast.conf", "# note \u2028 q=7\nbin_duration=600\n")

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flowcast.errors import DataError, DegenerateGain, InvalidParams, NonFiniteInput, SeriesTooShort
-from flowcast.kalman import FilterParams, estimate_noise, filter_series, forecast_next
+from flowcast.errors import DataError, InvalidParams, NonFiniteInput, SeriesTooShort
+from flowcast.kalman import DEFAULT_INIT_VAR, FilterParams, estimate_noise, filter_series, forecast_next
 from flowcast.series import FlowSeries
 
 from oracles import fused_filter, kalman_filter, noise_estimate, running_means, sample_variance
 
 
-def params(q=0.0, r=1.0, m_t=1.0):
-    return FilterParams(process_var=q, measurement_var=r, transition=m_t)
+def params(q=0.0, r=1.0, m_t=1.0, p0=DEFAULT_INIT_VAR):
+    return FilterParams(process_var=q, measurement_var=r, transition=m_t, init_var=p0)
 
 
 def series(*values):
@@ -46,43 +46,42 @@ def steps(trace, p):
 class TestInitState:
     # The seeded state is what absorbing the first value leaves behind.
     def test_mean_flow_sample(self):
-        trace = filter_series(series(488.33, 500), params(r=1.0), p0=1.0)
+        trace = filter_series(series(488.33, 500), params(r=1.0, p0=1.0))
         assert (trace.initial_estimate, trace.initial_variance) == (488.33, 0.5)
 
     def test_zero(self):
-        trace = filter_series(series(0, 0), params(r=1.0), p0=0.0)
+        trace = filter_series(series(0, 0), params(r=1.0, p0=0.0))
         assert (trace.initial_estimate, trace.initial_variance) == (0.0, 0.0)
 
     def test_rejects_non_finite(self):
         for first in (float("nan"), float("inf")):
-            for p0 in (1.0, -1.0):  # checked before p0 is
-                with pytest.raises(NonFiniteInput):
-                    filter_series(series(first, 1), params(), p0=p0)
+            with pytest.raises(NonFiniteInput):
+                filter_series(series(first, 1), params(p0=1.0))
 
     @pytest.mark.parametrize("p0", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_p0(self, p0):
         with pytest.raises(NonFiniteInput):
-            filter_series(series(1, 2), params(), p0=p0)
+            params(p0=p0)
 
     def test_rejects_negative_p0(self):
         with pytest.raises(InvalidParams):
-            filter_series(series(1, 2), params(), p0=-1.0)
+            params(p0=-1.0)
 
 
 class TestPredict:
     def test_identity_transition_adds_process_noise(self):
         # Seed p = 1/2; prior p = 1/2 + q = 3 shows in the gain 3 / (3 + r).
-        trace = filter_series(series(100, 110), params(q=2.5, r=1.0), p0=1.0)
+        trace = filter_series(series(100, 110), params(q=2.5, r=1.0, p0=1.0))
         assert trace.forecasts.tolist() == [100.0]
         assert trace.gains.tolist() == [0.75]
 
     def test_growth_transition(self):
         # Seed p = 1/2; prior x = 2 * 100, p = 2^2 * 1/2 + 1 = 3, so k = 3/4.
-        trace = filter_series(series(100, 240), params(q=1.0, r=1.0, m_t=2.0), p0=1.0)
+        trace = filter_series(series(100, 240), params(q=1.0, r=1.0, m_t=2.0, p0=1.0))
         assert columns(trace) == ((200.0,), (230.0,), (0.75,), (0.75,), (40.0,))
 
     def test_zero_fixed_point(self):
-        trace = filter_series(series(0, 0, 0), params(q=0.0, m_t=7.0), p0=0.0)
+        trace = filter_series(series(0, 0, 0), params(q=0.0, m_t=7.0, p0=0.0))
         assert columns(trace) == ((0.0, 0.0),) * 5
 
     def test_variance_overflow(self):
@@ -93,38 +92,38 @@ class TestPredict:
 class TestGain:
     def test_equal_variances_split_evenly(self):
         # Seed k = 3/4 leaves p = 3/4; prior p = 3/4 + 1/4 equals r.
-        trace = filter_series(series(100, 110), params(q=0.25, r=1.0), p0=3.0)
+        trace = filter_series(series(100, 110), params(q=0.25, r=1.0, p0=3.0))
         assert trace.gains.tolist() == [0.5]
 
     def test_exact_measurement_dominates(self):
-        trace = filter_series(series(100, 110), params(q=1.0, r=0.0), p0=1.0)
+        trace = filter_series(series(100, 110), params(q=1.0, r=0.0, p0=1.0))
         assert trace.gains.tolist() == [1.0]
         assert trace.estimates.tolist() == [110.0]
         assert trace.variances.tolist() == [0.0]
 
     def test_exact_prior_dominates(self):
-        trace = filter_series(series(100, 110), params(q=0.0, r=1.0), p0=0.0)
+        trace = filter_series(series(100, 110), params(q=0.0, r=1.0, p0=0.0))
         assert trace.gains.tolist() == [0.0]
 
     def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateGain):
-            filter_series(series(100, 110), params(q=1.0, r=0.0), p0=0.0)
+        with pytest.raises(InvalidParams):
+            params(q=1.0, r=0.0, p0=0.0)
 
 
 class TestUpdate:
     def test_even_blend(self):
-        trace = filter_series(series(100, 110), params(q=0.5, r=1.0), p0=1.0)
+        trace = filter_series(series(100, 110), params(q=0.5, r=1.0, p0=1.0))
         assert columns(trace) == ((100.0,), (105.0,), (0.5,), (0.5,), (10.0,))
 
     def test_certain_prior_ignores_measurement(self):
-        trace = filter_series(series(100, 110), params(q=0.0, r=1.0), p0=0.0)
+        trace = filter_series(series(100, 110), params(q=0.0, r=1.0, p0=0.0))
         assert trace.estimates.tolist() == [100.0]
         assert trace.innovations.tolist() == [10.0]
 
     def test_rounding_never_raises_the_variance(self):
         # p * r / (p + r) rounds above p for this p0; the update keeps p.
         p0 = 1.9081128851953353e-20
-        trace = filter_series(series(0, 0), params(q=0.0, r=3.0), p0=p0)
+        trace = filter_series(series(0, 0), params(q=0.0, r=3.0, p0=p0))
         assert trace.initial_variance == p0
         assert trace.variances.tolist() == [p0]
 
@@ -136,14 +135,14 @@ class TestUpdate:
     def test_rejects_non_finite_measurement(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(NonFiniteInput):
-                filter_series(series(0, bad), params(), p0=1.0)
+                filter_series(series(0, bad), params(p0=1.0))
             with pytest.raises(NonFiniteInput):
-                filter_series(series(0, bad, 1, 2), params(), p0=1.0)
+                filter_series(series(0, bad, 1, 2), params(p0=1.0))
 
 
 class TestFilterSeries:
     def test_constant_series_is_fixed_point(self):
-        trace = filter_series(series(100, 100, 100, 100), params(q=0.0, r=1.0), p0=1e6)
+        trace = filter_series(series(100, 100, 100, 100), params(q=0.0, r=1.0, p0=1e6))
         for estimate in trace.estimates:
             assert estimate == pytest.approx(100.0, rel=1e-12)
 
@@ -151,11 +150,11 @@ class TestFilterSeries:
         # The seed observation is absorbed with full measurement weight, so
         # with r -> 0 both observations are treated as near-exact and the
         # posterior lands on their average rather than the newer one.
-        trace = filter_series(series(100, 110), params(q=0.0, r=1e-9), p0=1e6)
+        trace = filter_series(series(100, 110), params(q=0.0, r=1e-9, p0=1e6))
         assert trace.estimates[-1] == pytest.approx(105.0, rel=1e-9)
 
     def test_diffuse_prior_recovers_running_means(self):
-        trace = filter_series(series(100, 110, 120), params(q=0.0, r=1.0), p0=1e12)
+        trace = filter_series(series(100, 110, 120), params(q=0.0, r=1.0, p0=1e12))
         expected = running_means([100.0, 110.0, 120.0])
         assert list(trace.estimates) == pytest.approx(expected, rel=1e-9)
 
@@ -164,7 +163,7 @@ class TestFilterSeries:
         for _ in range(50):
             n = rng.randint(2, 32)
             values = [rng.uniform(1.0, 1000.0) for _ in range(n)]
-            trace = filter_series(series(*values), params(q=0.0, r=rng.uniform(0.1, 50.0)), p0=1e12)
+            trace = filter_series(series(*values), params(q=0.0, r=rng.uniform(0.1, 50.0), p0=1e12))
             expected = running_means(values)
             for got, want in zip(trace.estimates, expected):
                 assert got == pytest.approx(want, rel=1e-6)
@@ -180,7 +179,7 @@ class TestFilterSeries:
             values = [rng.uniform(0.0, 1000.0) for _ in range(n)]
             q, r = rng.uniform(0.0, 100.0), rng.uniform(1.0, 100.0)
             m_t, p0 = rng.uniform(0.9, 1.1), rng.uniform(0.0, 1e5)
-            trace = filter_series(series(*values), params(q=q, r=r, m_t=m_t), p0=p0)
+            trace = filter_series(series(*values), params(q=q, r=r, m_t=m_t, p0=p0))
             seed, want = kalman_filter(values, p0, q, r, m_t, 1.0)
             got = [(trace.initial_estimate, trace.initial_variance), *zip(*columns(trace))]
             assert len(got) == len(want) + 1
@@ -313,8 +312,8 @@ flow_values = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(flow_values, positive_floats, positive_floats, positive_floats)
 def test_step_invariants(values, q, r, p0):
-    p = params(q=q, r=r)
-    trace = filter_series(series(*values), p, p0=p0)
+    p = params(q=q, r=r, p0=p0)
+    trace = filter_series(series(*values), p)
     for prior_estimate, prior_variance, forecast, estimate, variance, k, innovation in steps(trace, p):
         scale = max(1.0, abs(prior_estimate), abs(estimate))
         # Update identity, gain bounds, variance behavior.
@@ -331,8 +330,8 @@ def test_step_invariants(values, q, r, p0):
 @settings(max_examples=100, deadline=None)
 @given(flow_values, positive_floats, positive_floats)
 def test_more_measurement_noise_lowers_every_gain(values, q, r):
-    low_noise = filter_series(series(*values), params(q=q, r=r), p0=1e6)
-    high_noise = filter_series(series(*values), params(q=q, r=r * 10.0), p0=1e6)
+    low_noise = filter_series(series(*values), params(q=q, r=r, p0=1e6))
+    high_noise = filter_series(series(*values), params(q=q, r=r * 10.0, p0=1e6))
     for lo_gain, hi_gain in zip(low_noise.gains, high_noise.gains):
         assert hi_gain < lo_gain
 
@@ -354,13 +353,13 @@ def test_only_zero_p0_and_r_leave_no_gain(values, q, r, p0, m_t):
     # so the seed step is the only one that can have a zero denominator.
     assume(q + r > 0 and (p0 > 0 or r > 0))
     with contextlib.suppress(NonFiniteInput):
-        filter_series(series(*values), params(q=q, r=r, m_t=m_t), p0=p0)
+        filter_series(series(*values), params(q=q, r=r, m_t=m_t, p0=p0))
 
 
 def test_vanishing_measurement_noise_drives_gain_to_one():
     values = [100.0, 140.0, 90.0, 130.0]
     for r in (1.0, 1e-3, 1e-6, 1e-9):
-        trace = filter_series(series(*values), params(q=1.0, r=r), p0=1e6)
+        trace = filter_series(series(*values), params(q=1.0, r=r, p0=1e6))
         if r <= 1e-9:
             for k in trace.gains:
                 assert k == pytest.approx(1.0, abs=1e-6)
@@ -378,9 +377,9 @@ def assert_matches_fused_loop(values, p0, q, r, m_t):
     want = fused_filter(values, p0, q, r, m_t)
     if not (math.isfinite(want[3][-1]) and math.isfinite(want[4][-1])):
         with pytest.raises(NonFiniteInput):
-            filter_series(series(*values), params(q=q, r=r, m_t=m_t), p0=p0)
+            filter_series(series(*values), params(q=q, r=r, m_t=m_t, p0=p0))
         return None
-    trace = filter_series(series(*values), params(q=q, r=r, m_t=m_t), p0=p0)
+    trace = filter_series(series(*values), params(q=q, r=r, m_t=m_t, p0=p0))
     got = (trace.initial_estimate, trace.initial_variance, *columns(trace))
     assert bits(got[:2]) == bits(want[:2])
     for got_column, want_column in zip(got[2:], want[2:]):

@@ -29,7 +29,7 @@ import oracles
 def _pipeline(values):
     series = FlowSeries(0, 300, tuple(values))
     params = FilterParams(process_var=2.0, measurement_var=30.0)
-    trace = filter_series(series, params, p0=1e6)
+    trace = filter_series(series, params)
     report = build_report(series, trace.forecasts)
     return series, trace, report
 
