@@ -89,8 +89,12 @@ def _filter_params(config: RunConfig, series: FlowSeries) -> FilterParams:
         return FilterParams(q, r, config.transition, config.init_var)
     except InvalidParams as exc:
         # Settings that leave the filter without a gain (q = r = 0, or
-        # p0 = r = 0) are a usage problem.
-        raise ConfigError(str(exc)) from None
+        # p0 = r = 0) are a usage problem. An estimate may be one of them,
+        # so name each value the user did not set, and its flag.
+        estimated = [f" ({key} = {value!r} was estimated from the series; set --{key})"
+                     for key, value, given in (("q", q, config.process_var), ("r", r, config.measurement_var))
+                     if given is None]
+        raise ConfigError(str(exc) + "".join(estimated)) from None
 
 
 def _note(message: str) -> None:

@@ -3,6 +3,12 @@
 Precedence, lowest to highest: built-in defaults, the config file (the
 FLOWCAST_CONFIG environment variable or --config), then CLI flags.
 Unknown config keys are rejected rather than ignored.
+
+A run setting is added by declaring one RunConfig field with _setting:
+its config-file key, default, parser, metavar, help and rule. SETTINGS,
+and through it the config-file keys and the CLI flags, is read back from
+those fields, and the field's rule is its check: RunConfig rejects a set
+value that fails it.
 """
 
 from __future__ import annotations
@@ -21,72 +27,43 @@ from flowcast.series import DEFAULT_BIN_DURATION
 
 ENV_CONFIG_VAR = "FLOWCAST_CONFIG"
 
-PERCENT_DENOMINATORS = ("forecast", "observed")
-EVALUATE_MODES = ("predicted", "filtered")
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs for the aggregate/filter/evaluate pipeline."""
-
-    bin_duration: int = DEFAULT_BIN_DURATION
-    init_var: float = DEFAULT_INIT_VAR
-    transition: float = 1.0
-    process_var: float | None = None            # None means estimate
-    measurement_var: float | None = None        # None means estimate
-    percent_denominator: str = "forecast"
-    evaluate_mode: str = "predicted"
-    histogram_bins: int = 8
-    out_dir: Path | None = None
-    pcu_overrides: dict[VehicleClass, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.bin_duration <= 0:
-            raise ConfigError(f"bin_duration must be > 0, got {self.bin_duration}")
-        if not (math.isfinite(self.init_var) and self.init_var >= 0):
-            raise ConfigError(f"p0 must be finite and >= 0, got {self.init_var}")
-        if not math.isfinite(self.transition):
-            raise ConfigError(f"m_t must be finite, got {self.transition}")
-        for key, value in (("q", self.process_var), ("r", self.measurement_var)):
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
-        if self.percent_denominator not in PERCENT_DENOMINATORS:
-            raise ConfigError(
-                f"percent_denominator must be one of {PERCENT_DENOMINATORS}, got {self.percent_denominator!r}"
-            )
-        if self.evaluate_mode not in EVALUATE_MODES:
-            raise ConfigError(f"evaluate_mode must be one of {EVALUATE_MODES}, got {self.evaluate_mode!r}")
-        if not 1 <= self.histogram_bins <= MAX_HISTOGRAM_BINS:
-            raise ConfigError(f"histogram_bins must be from 1 to {MAX_HISTOGRAM_BINS}, got {self.histogram_bins}")
-        for cls, factor in self.pcu_overrides.items():
-            if not (math.isfinite(factor) and factor > 0):
-                raise ConfigError(f"pcu.{cls.label} must be finite and > 0, got {factor}")
-
-    def pcu_table(self) -> PcuTable:
-        if not self.pcu_overrides:
-            return PcuTable.default()
-        factors = dict(DEFAULT_FACTORS)
-        factors.update(self.pcu_overrides)
-        return PcuTable(factors)
+# A rule: the words a rejected value's error shows, and the test a value must pass.
+Rule = tuple[str, Callable[[Any], bool]]
+_VARIANCE: Rule = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 
 
 @dataclass(frozen=True)
 class Setting:
-    """One run setting: its config-file key, RunConfig field, parser and help.
+    """One run setting: its RunConfig field, config-file key, parser, help and rule.
 
     The CLI flag is "--" plus the key with underscores turned into dashes.
+    A setting with choices has "one of" them as its rule.
     """
 
-    key: str
     field: str
+    key: str
     parse: Callable[[str], Any]
     metavar: str | None
     help: str
+    rule: Rule | None = None
     choices: tuple[str, ...] | None = None
 
     @property
     def flag(self) -> str:
         return "--" + self.key.replace("_", "-")
+
+
+def _setting(default: Any, key: str, parse: Callable[[str], Any], metavar: str | None, help: str,
+             rule: Rule | None = None, choices: tuple[str, ...] | None = None) -> Any:
+    """A RunConfig field that is a run setting; SETTINGS reads it back from the field's metadata."""
+    rule = (f"one of {choices}", choices.__contains__) if choices else rule
+    return field(default=default, metadata={"setting": (key, parse, metavar, help, rule, choices)})
+
+
+def _check(key: str, value: Any, rule: Rule | None) -> None:
+    """Reject a set value that fails its rule; None means "not set"."""
+    if value is not None and rule is not None and not rule[1](value):
+        raise ConfigError(f"{key} must be {rule[0]}, got {repr(value) if isinstance(value, str) else value}")
 
 
 def _out_dir(text: str) -> Path:
@@ -97,19 +74,44 @@ def _out_dir(text: str) -> Path:
     return Path(text)
 
 
-SETTINGS = (
-    Setting("bin_duration", "bin_duration", int, "SECONDS", "aggregation bin length (default 300)"),
-    Setting("p0", "init_var", float, "VAR", "initial estimate variance (default 1e6)"),
-    Setting("m_t", "transition", float, "X", "state transition multiplier (default 1)"),
-    Setting("q", "process_var", float, "VAR", "process noise variance (default: estimated from the series)"),
-    Setting("r", "measurement_var", float, "VAR", "measurement noise variance (default: estimated from the series)"),
-    Setting("percent_denominator", "percent_denominator", str, None,
-            "divide percent errors by the forecast (default) or the observed value", PERCENT_DENOMINATORS),
-    Setting("evaluate_mode", "evaluate_mode", str, None,
-            "score one-step-ahead forecasts (default) or filtered estimates", EVALUATE_MODES),
-    Setting("histogram_bins", "histogram_bins", int, "N", f"histogram bins, 1 to {MAX_HISTOGRAM_BINS} (default 8)"),
-    Setting("out_dir", "out_dir", _out_dir, "DIR", "directory for report.json, trace.csv and the plots"),
-)
+@dataclass
+class RunConfig:
+    """Validated knobs for the aggregate/filter/evaluate pipeline."""
+
+    bin_duration: int = _setting(DEFAULT_BIN_DURATION, "bin_duration", int, "SECONDS",
+                                 "aggregation bin length (default 300)", ("> 0", lambda v: v > 0))
+    init_var: float = _setting(
+        DEFAULT_INIT_VAR, "p0", float, "VAR", "initial estimate variance (default 1e6)", _VARIANCE)
+    transition: float = _setting(
+        1.0, "m_t", float, "X", "state transition multiplier (default 1)", ("finite", math.isfinite))
+    process_var: float | None = _setting(
+        None, "q", float, "VAR", "process noise variance (default: estimated from the series)", _VARIANCE)
+    measurement_var: float | None = _setting(
+        None, "r", float, "VAR", "measurement noise variance (default: estimated from the series)", _VARIANCE)
+    percent_denominator: str = _setting(
+        "forecast", "percent_denominator", str, None,
+        "divide percent errors by the forecast (default) or the observed value", choices=("forecast", "observed"))
+    evaluate_mode: str = _setting(
+        "predicted", "evaluate_mode", str, None,
+        "score one-step-ahead forecasts (default) or filtered estimates", choices=("predicted", "filtered"))
+    histogram_bins: int = _setting(
+        8, "histogram_bins", int, "N", f"histogram bins, 1 to {MAX_HISTOGRAM_BINS} (default 8)",
+        (f"from 1 to {MAX_HISTOGRAM_BINS}", lambda v: 1 <= v <= MAX_HISTOGRAM_BINS))
+    out_dir: Path | None = _setting(
+        None, "out_dir", _out_dir, "DIR", "directory for report.json, trace.csv and the plots")
+    pcu_overrides: dict[VehicleClass, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for setting in SETTINGS:
+            _check(setting.key, getattr(self, setting.field), setting.rule)
+        for cls, factor in self.pcu_overrides.items():
+            _check(f"pcu.{cls.label}", factor, ("finite and > 0", lambda v: math.isfinite(v) and v > 0))
+
+    def pcu_table(self) -> PcuTable:
+        return PcuTable({**DEFAULT_FACTORS, **self.pcu_overrides})
+
+
+SETTINGS = tuple(Setting(f.name, *f.metadata["setting"]) for f in fields(RunConfig) if "setting" in f.metadata)
 
 _SETTINGS_BY_KEY = {setting.key: setting for setting in SETTINGS}
 _PCU_KEYS = {f"pcu.{cls.label}": cls for cls in VehicleClass}
@@ -157,8 +159,7 @@ def resolve_config(file_values: Mapping[str, str] | None = None, **flag_values) 
     pcu_overrides: dict[VehicleClass, float] = {}
 
     for key, text in (file_values or {}).items():
-        if key in _SETTINGS_BY_KEY:
-            setting = _SETTINGS_BY_KEY[key]
+        if setting := _SETTINGS_BY_KEY.get(key):
             merged[setting.field] = _parse(key, setting.parse, text)
         elif key in _PCU_KEYS:
             pcu_overrides[_PCU_KEYS[key]] = _parse(key, float, text)

@@ -9,6 +9,7 @@ acceptable.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +34,10 @@ class MapeBand(str, Enum):
     GOOD = "good"                    # 10 to 20
     DECENT = "decent"                # 20 to 50
     BAD = "bad"                      # 50 and above
+
+
+# The lower bound of each MapeBand after the first, in percent.
+_MAPE_BAND_FLOORS = (10.0, 20.0, 50.0)
 
 
 class RmspeBand(str, Enum):
@@ -182,13 +187,7 @@ def mape_band(mape_percent: float) -> MapeBand:
     """Classify a MAPE value; ties at 10/20/50 take the higher (worse) band."""
     if not mape_percent >= 0:
         raise NegativeMetric(f"MAPE must be >= 0, got {mape_percent}")
-    if mape_percent < 10.0:
-        return MapeBand.HIGH_ACCURACY
-    if mape_percent < 20.0:
-        return MapeBand.GOOD
-    if mape_percent < 50.0:
-        return MapeBand.DECENT
-    return MapeBand.BAD
+    return list(MapeBand)[bisect.bisect_right(_MAPE_BAND_FLOORS, mape_percent)]
 
 
 def rmspe_band(rmspe_percent: float) -> RmspeBand:

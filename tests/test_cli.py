@@ -239,6 +239,22 @@ class TestRunAndEvaluate:
         assert capsys.readouterr().err == f"flowcast: error: {message}\n"
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize("settings, named", [(("--p0", "0"), "qr"), (("--p0", "0", "--q", "1"), "r")],
+                             ids=["q-and-r-estimated", "r-estimated"])
+    def test_rejected_estimates_are_named_with_their_flags(self, tmp_path, capsys, settings, named):
+        # Constant first differences estimate r = 0, so p0 = 0 leaves no gain.
+        # The user did not set r, so the message names it, and q when q was estimated too.
+        series_csv = tmp_path / "ramp.csv"
+        series_csv.write_text("bin_start,pcu\n0,1\n300,2\n600,3\n900,4\n1200,5\n")
+        out_dir = tmp_path / "r"
+        assert run_cli("evaluate", str(series_csv), *settings, "--out-dir", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("flowcast: error: q and p0 must be > 0 when r is 0, or the filter's gain is 0 / 0 (")
+        assert err.count("\n") == 1 and err.count("flowcast: error:") == 1
+        assert err.endswith(" (r = 0.0 was estimated from the series; set --r)\n")
+        assert ("was estimated from the series; set --q)" in err) == ("q" in named)
+        assert not (out_dir / "report.json").exists()
+
     def test_histogram_bins_are_bounded_by_the_plot_width(self, tmp_path, counts_csv, capsys):
         # One bin a pixel column of the 556 px plot area.
         assert run_cli("run", str(counts_csv), "--histogram-bins", "556", "--out-dir", str(tmp_path / "a")) == 0

@@ -2,10 +2,11 @@
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from flowcast.cli import cli_main
-from flowcast.config import SETTINGS
+from flowcast.config import SETTINGS, RunConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -20,6 +21,23 @@ def test_readme_config_table_matches_settings():
     documented = [(key.strip("`"), flag.strip("`")) for key, flag, *_ in cells]
     expected = [(setting.key, setting.flag) for setting in SETTINGS] + [("pcu.<class>", "-")]
     assert documented == expected
+
+
+def test_readme_config_table_defaults_match_the_declared_ones():
+    rows = [line for line in _section("Configuration").splitlines() if line.startswith("| `")]
+    documented = {key.strip("`"): default for key, _, default, *_ in
+                  ([cell.strip() for cell in row.strip("|").split("|")] for row in rows)}
+    declared = {f.name: f.default for f in fields(RunConfig)}
+    # A setting with no default is estimated from the series or, for out_dir, has none.
+    unset = {"q": "estimated", "r": "estimated", "out_dir": "-"}
+    for setting in SETTINGS:
+        cell, default = documented[setting.key], declared[setting.field]
+        if default is None:
+            assert cell == unset[setting.key], setting.key
+        elif isinstance(default, str):
+            assert cell == f"`{default}`", setting.key
+        else:
+            assert float(cell.strip("`")) == default, setting.key
 
 
 def test_run_help_lists_every_setting_flag(capsys):

@@ -1003,14 +1003,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             resolve_config(load_config_file(path))
 
-    @pytest.mark.parametrize(
-        "text",
-        ["bin_duration=0", "p0=-1", "m_t=nan", "q=-2", "histogram_bins=0", "histogram_bins=557",
-         "evaluate_mode=both", "percent_denominator=mean", "bin_duration=abc"],
-    )
+    # Each rejected config line and the exact message it gives.
+    BAD_VALUES = {
+        "bin_duration=0": "bin_duration must be > 0, got 0",
+        "p0=-1": "p0 must be finite and >= 0, got -1.0",
+        "p0=inf": "p0 must be finite and >= 0, got inf",
+        "m_t=nan": "m_t must be finite, got nan",
+        "q=-2": "q must be finite and >= 0, got -2.0",
+        "r=nan": "r must be finite and >= 0, got nan",
+        "histogram_bins=0": "histogram_bins must be from 1 to 556, got 0",
+        "histogram_bins=557": "histogram_bins must be from 1 to 556, got 557",
+        "evaluate_mode=both": "evaluate_mode must be one of ('predicted', 'filtered'), got 'both'",
+        "percent_denominator=mean": "percent_denominator must be one of ('forecast', 'observed'), got 'mean'",
+        "bin_duration=abc": "bin_duration must be an integer, got 'abc'",
+        "pcu.bus=0": "pcu.bus must be finite and > 0, got 0.0",
+    }
+
+    @pytest.mark.parametrize("text", list(BAD_VALUES))
     def test_bad_values_rejected(self, tmp_path, text):
         path = write(tmp_path, "flowcast.conf", text + "\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{re.escape(self.BAD_VALUES[text])}$"):
             resolve_config(load_config_file(path))
 
     def test_missing_config_file(self, tmp_path):
