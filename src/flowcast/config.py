@@ -55,14 +55,19 @@ class Setting:
 
 def _setting(default: Any, key: str, parse: Callable[[str], Any], metavar: str | None, help: str,
              rule: Rule | None = None, choices: tuple[str, ...] | None = None) -> Any:
-    """A RunConfig field that is a run setting; SETTINGS reads it back from the field's metadata."""
+    """A RunConfig field that is a run setting; SETTINGS reads it back from the field's metadata.
+
+    None means "not set" for a setting whose default is None, and fails any other setting's rule.
+    """
     rule = (f"one of {choices}", choices.__contains__) if choices else rule
+    if rule:
+        rule = (rule[0], lambda v, test=rule[1]: default is None if v is None else test(v))
     return field(default=default, metadata={"setting": (key, parse, metavar, help, rule, choices)})
 
 
 def _check(key: str, value: Any, rule: Rule | None) -> None:
-    """Reject a set value that fails its rule; None means "not set"."""
-    if value is not None and rule is not None and not rule[1](value):
+    """Reject a value that fails its rule."""
+    if rule is not None and not rule[1](value):
         raise ConfigError(f"{key} must be {rule[0]}, got {repr(value) if isinstance(value, str) else value}")
 
 

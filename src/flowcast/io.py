@@ -20,6 +20,25 @@ np.loadtxt reads as integer bin starts and finite values, padded with
 whitespace or not; underscores in numbers, '#' lines and ISO timestamps
 are left to the row loop. A series read here holds its values as a
 read-only float64 array, as every FlowSeries and FilterTrace column is.
+Only a regular file is read in bulk: a pipe or other stream can be read
+once, so it goes straight to the row loop, which streams.
+
+A plain counts file's body is cut at line ends into contiguous shares,
+as many as the least of: the CPUs this process may run on
+(os.sched_getaffinity), the file's whole MiBs (_SHARE_BYTES), and 4.
+The calling process parses the first share and a forked worker each
+other one, with the same block parser. Their columns go into one
+anonymous shared mapping, laid out from each share's LF count, and are
+returned as views of it; where blank lines left gaps, each share's rows
+are moved down within the mapping. Every share opens the path again and
+checks that it is still the file the LF count read (the same device and
+inode). If it is not, or any share is not in the plain form, the whole
+file is read by the row loop, so an error's text and line number do not
+depend on the shares. One share, read by the calling process alone, is
+the rule for a file under 2 MiB, one CPU, no os.sched_getaffinity, or
+another thread running, as a fork could then deadlock on a lock that
+thread held.
+
 The series and trace CSVs are written 4096 lines at a time. For each
 block the rows of the float columns are copied into one numpy array, repr
 runs once for each distinct bit pattern in it (so -0.0 and 0.0 keep their
@@ -27,16 +46,15 @@ own text), and the lines are joined from those strings; the bytes are
 those of a per-row f-string of plain floats.
 
 TraceCsvWriter writes trace.csv in forked worker processes while the
-caller goes on. There are as many workers as the least of: the CPUs this
-process may run on (os.sched_getaffinity), the trace's blocks, and 4. Each
-writes a contiguous share of the blocks into its own part file beside the
-target, named trace.csv.<pid>-<random>.part<i>. The caller then copies the
-parts in order, 256 KiB at a time, into the temp file, which is synced and
-renamed. When there would be one worker (fewer than 4096 bins, one CPU,
-no os.sched_getaffinity, or another thread running), the calling process
-writes the trace itself, as it writes every other file. Whatever fails,
-every worker is killed and waited for and every part and temp file is
-removed; no trace.csv is published, and a previous one stays.
+caller goes on, one for each of as many contiguous shares of the trace's
+blocks as the same rule allows. Each writes its share into its own part
+file beside the target, named trace.csv.<pid>-<random>.part<i>. The
+caller then copies the parts in order, 256 KiB at a time, into the temp
+file, which is synced and renamed. With one share (fewer than 4096 bins,
+or one share by the rule above), the calling process writes the trace
+itself, as it writes every other file. Whatever fails, every worker is
+killed and waited for and every part and temp file is removed; no
+trace.csv is published, and a previous one stays.
 """
 
 from __future__ import annotations
@@ -46,6 +64,7 @@ import csv
 import dataclasses
 import json
 import math
+import mmap
 import os
 import shutil
 import threading
@@ -171,15 +190,16 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[i
 def read_counts_csv(path: str | Path) -> ClassifiedCounts:
     """Parse a classified-count CSV, preserving row order.
 
-    Timestamps and counts must fit in a signed 64-bit integer. A file in
-    the plain form (see _read_counts_plain), which flowcast simulate
-    writes, is parsed in bulk; any other file is read row by row, with the
-    same result and the same errors.
+    Timestamps and counts must fit in a signed 64-bit integer. A regular
+    file in the plain form (see _read_counts_plain), which flowcast
+    simulate writes, is parsed in bulk; any other file or stream is read
+    row by row, with the same result and the same errors.
     """
-    try:
-        return _read_counts_plain(path)
-    except _NotPlain:
-        pass  # read again outside the handler, once the bulk reader's columns are freed
+    if os.path.isfile(path):  # a pipe or other stream can be read once: by the row loop
+        try:
+            return _read_counts_plain(path)
+        except _NotPlain:
+            pass  # read again outside the handler, once the bulk reader's columns are freed
     return _read_counts_rows(path)
 
 
@@ -229,6 +249,12 @@ def _read_counts_rows(path: str | Path) -> ClassifiedCounts:
 # temporaries take several times its size: on a year of counts, 1 MiB
 # blocks were no faster and held 6 MB more at peak.
 _BLOCK_BYTES = 1 << 18
+# A plain counts file is read in shares of at least this many bytes. On
+# a 2-CPU machine, in a process that had read before, two shares of a
+# 0.4 MB week took 11.9 ms against 7.2 ms for one, of 1.25 MB about as
+# long, and of a 1.8 MB month 22.6 against 27.1 ms; a fresh process pays
+# about 15 ms more for its first fork, and broke even at 3.6 MB.
+_SHARE_BYTES = 1 << 20
 # The plain form's limits: every number of at most 18 digits fits in an
 # int64, and a label of at most 32 bytes fits in four 8-byte words.
 _MAX_DIGITS = 18
@@ -244,7 +270,8 @@ class _NotPlain(Exception):
 
 
 def _read_counts_plain(path: str | Path) -> ClassifiedCounts:
-    """read_counts_csv for a file in the plain form, parsed with numpy a block at a time.
+    """read_counts_csv for a regular file in the plain form, parsed with
+    numpy a block at a time, in shares (see the module docstring).
 
     The plain form is an optional UTF-8 BOM, then lines that each end in
     an LF, maybe after a CR (the last may lack its LF). Blank lines are
@@ -255,27 +282,74 @@ def _read_counts_plain(path: str | Path) -> ClassifiedCounts:
     There is at least one row. csv.reader and int() read such a file just
     as this does. Any other file raises _NotPlain.
 
-    The columns are sized by counting the file's LFs first, so the rows
+    Each share's columns are sized by counting its LFs first, so the rows
     are never copied from one array to a larger one.
     """
     with open(path, "rb") as handle:
-        capacity = sum(block.count(b"\n") for block in iter(lambda: handle.read(_BLOCK_BYTES), b""))
-        handle.seek(0)
         _plain_header(handle, COUNTS_HEADER)
-        columns = (np.empty(capacity, np.int64), np.empty(capacity, np.int8), np.empty(capacity, np.int64))
-        class_index: dict[bytes, int] = {}  # raw label -> index into VEHICLE_CLASSES
-        rows = 0
-        for data, words in _line_blocks(handle):
+        opened = os.fstat(handle.fileno())
+        size = opened.st_size
+        count = max(1, min(_worker_cpus(), size // _SHARE_BYTES, _MAX_WORKERS))
+        # A share starts after the line that holds the byte before its
+        # nominal start; a line longer than a block fails its share anyway.
+        cuts = [handle.tell()]
+        cuts += [handle.seek(cuts[0] + (size - cuts[0]) * i // count - 1) + len(handle.readline(_BLOCK_BYTES))
+                 for i in range(1, count)]
+        # Share i reads bytes bounds[i] of this file, and its rows go to
+        # [starts[i], starts[i + 1]) in each column: a row for each LF, and
+        # in the last share one more for a last line without an LF.
+        bounds = list(zip(cuts, [*cuts[1:], size]))
+        starts = np.cumsum([0, *(_lf_count(handle, lo, hi) + (hi == size) for lo, hi in bounds)]).tolist()
+    mapping = mmap.mmap(-1, 17 * starts[-1])
+    # Timestamps, classes and counts, in _plain_rows order, 17 bytes a row;
+    # the two int64 columns go first, so that both are aligned.
+    columns = [np.frombuffer(mapping, dtype, starts[-1], at * starts[-1])
+               for dtype, at in ((np.int64, 0), (np.int8, 16), (np.int64, 8))]
+    shares = [(path, opened, *bounds[i], [column[starts[i] : starts[i + 1]] for column in columns]) for i in range(count)]
+    with contextlib.closing(_Workers()) as workers:
+        for share in shares[1:]:
+            workers.start(_read_share, *share)
+        rows = [_read_share(*shares[0]), *workers.results(path)]
+    if not (end := sum(rows)):
+        raise _NotPlain
+    if end - rows[-1] < starts[-2]:  # blank lines left gaps: move each share's rows down
+        for column in columns:
+            for at, lo, n in zip(np.cumsum([0, *rows]).tolist(), starts, rows):
+                column[at : at + n] = column[lo : lo + n]  # numpy moves a 1-d overlap in place, as memmove does
+    return ClassifiedCounts(*(column[:end] for column in columns))
+
+
+def _lf_count(handle, start: int, stop: int) -> int:
+    """The LFs in bytes [start, stop) of the file, read a block at a time
+    and counted by numpy's vectorised compare, faster than bytes.count."""
+    blocks = (handle.read(min(_BLOCK_BYTES, stop - at)) for at in range(handle.seek(start), stop, _BLOCK_BYTES))
+    return sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n")) for block in blocks)
+
+
+def _read_share(path: str | Path, opened: os.stat_result, start: int, stop: int, columns: list[np.ndarray]) -> int:
+    """Parse the plain rows in bytes [start, stop) of the file at path into
+    columns, views of the shared mapping; returns how many.
+
+    Raises _NotPlain unless the file at path is the one whose os.fstat is
+    opened (the same device and inode), every line is blank or a plain
+    row, and the rows fit the columns, which they may fail to if the file
+    changed after its LFs were counted.
+    """
+    class_index: dict[bytes, int] = {}  # raw label -> index into VEHICLE_CLASSES
+    rows = 0
+    with open(path, "rb") as handle:
+        if not os.path.samestat(os.fstat(handle.fileno()), opened):  # another file was put at path
+            raise _NotPlain
+        handle.seek(start)
+        for data, words in _line_blocks(handle, stop - start):
             parts = _plain_rows(data, words, class_index)
             end = rows + len(parts[0])
-            if end > capacity:  # the file grew after its LFs were counted
+            if end > len(columns[0]):
                 raise _NotPlain
             for column, part in zip(columns, parts):
                 column[rows:end] = part
             rows = end
-    if not rows:
-        raise _NotPlain
-    return ClassifiedCounts(*(column[:rows] for column in columns))
+    return rows
 
 
 def _plain_header(handle, expected_header: list[str]) -> None:
@@ -290,8 +364,9 @@ def _plain_header(handle, expected_header: list[str]) -> None:
         raise _NotPlain
 
 
-def _line_blocks(handle) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The rest of the file as blocks of whole lines, about _BLOCK_BYTES each.
+def _line_blocks(handle, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The next size bytes of the file, or as many as are left, as blocks
+    of whole lines, about _BLOCK_BYTES each.
 
     Each block comes as its bytes, a uint8 array ending in an LF, and the
     8-byte little-endian word that starts at every byte offset, a stride-1
@@ -303,7 +378,8 @@ def _line_blocks(handle) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     data = np.frombuffer(buffer, np.uint8)
     words = np.ndarray((len(buffer) - 7,), "<u8", buffer, 0, (1,))
     kept = 0  # bytes of an unfinished line at the start of the buffer
-    while read := handle.readinto(memoryview(buffer)[kept:_BLOCK_BYTES]):
+    while read := handle.readinto(memoryview(buffer)[kept : min(_BLOCK_BYTES, kept + size)]):
+        size -= read
         end = kept + read
         cut = buffer.rfind(b"\n", 0, end) + 1
         if cut:
@@ -566,18 +642,76 @@ def report_json_text(report: EvaluationReport, params: FilterParams) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
-# The most processes one trace.csv is formatted by.
-_MAX_TRACE_WORKERS = 4
+# The most processes that share one file's reading or writing.
+_MAX_WORKERS = 4
 
 
 def _worker_cpus() -> int:
-    """The CPUs this process may run on, as many as it may fork trace
-    workers for. 1 where the platform cannot tell (os.sched_getaffinity is
+    """The CPUs this process may run on, as many as it may fork workers
+    for. 1 where the platform cannot tell (os.sched_getaffinity is
     Linux-only), or where another thread runs, as a fork could then
     deadlock on a lock that thread held."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
+
+
+class _Workers(list):
+    """Forked worker processes, as (process, the reading end of its pipe)
+    pairs. Each makes one call and sends back what it returned or raised;
+    close() kills and waits for every one."""
+
+    def start(self, function, *args) -> None:
+        """Fork a worker that calls function(*args)."""
+        import multiprocessing  # here, so that a one-process read or write never pays for the import
+
+        # fork, not spawn: a worker inherits its arguments instead of having
+        # them pickled to it, and needs no fresh import. _worker_cpus allows
+        # no fork while another thread runs.
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        process = context.Process(target=_work, args=(function, args, writer))
+        with writer:  # closed here, so that the reader sees EOF when the worker ends
+            process.start()
+        self.append((process, reader))
+
+    def results(self, path: str | Path) -> list:
+        """Wait for the workers; what each call returned, in order. A
+        worker's exception is raised here; a worker that ended without
+        sending anything raises OSError, which names path, the file the
+        workers read or write."""
+        results = []
+        for process, reader in self:
+            try:
+                results.append(reader.recv())
+            except EOFError:
+                process.join()
+                raise OSError(f"{path}: a worker exited with code {process.exitcode}") from None
+            if isinstance(results[-1], Exception):
+                raise results[-1]
+        return results
+
+    def close(self) -> None:
+        """Kill any worker still running and wait for every one."""
+        for process, reader in self:
+            process.kill()  # no effect on a worker that has ended
+            process.join()
+            process.close()
+            reader.close()
+        self.clear()
+
+
+def _work(function, args, results) -> None:
+    """A worker's one call, function(*args); its value or exception is sent back through results."""
+    import signal  # here, as importing flowcast.cli does not load it
+
+    # A Ctrl-C reaches the whole process group; only the main process acts
+    # on it, by killing the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        results.send(function(*args))
+    except Exception as exc:
+        results.send(exc)
 
 
 class TraceCsvWriter(contextlib.AbstractContextManager):
@@ -595,58 +729,31 @@ class TraceCsvWriter(contextlib.AbstractContextManager):
         self.path = Path(path)
         self._series = series
         self._trace = trace
-        self._workers = []  # (process, the reading end of its error pipe)
+        self._workers = _Workers()
         self._parts: list[Path] = []
         blocks = -(-(len(series) + 1) // _BLOCK_LINES)  # a header line and one line a bin
-        count = min(_worker_cpus(), blocks, _MAX_TRACE_WORKERS)
-        if count > 1:
-            try:
-                self._start(blocks, count)
+        if (count := min(_worker_cpus(), blocks, _MAX_WORKERS)) > 1:
+            try:  # fork count workers, each writing a contiguous share of the blocks
+                self.path.parent.mkdir(parents=True, exist_ok=True)  # the part files go beside the target
+                token = f"{os.getpid()}-{os.urandom(4).hex()}"
+                bounds = [blocks * i // count for i in range(count + 1)]
+                for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                    part = self.path.with_name(f"{self.path.name}.{token}.part{i}")
+                    self._parts.append(part)
+                    self._workers.start(_write_trace_part, part, series, trace, slice(lo, hi))
             except BaseException:
                 self.close()
                 raise
 
-    def _start(self, blocks: int, count: int) -> None:
-        """Fork count workers, each writing a contiguous share of the blocks."""
-        import multiprocessing  # here, so that a small trace never pays for the import
-
-        # fork, not spawn: a worker inherits the series and trace instead of
-        # having them pickled to it, and needs no fresh import. _worker_cpus
-        # allows no fork while another thread runs.
-        context = multiprocessing.get_context("fork")
-        self.path.parent.mkdir(parents=True, exist_ok=True)  # the part files go beside the target
-        token = f"{os.getpid()}-{os.urandom(4).hex()}"
-        bounds = [blocks * i // count for i in range(count + 1)]
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            part = self.path.with_name(f"{self.path.name}.{token}.part{i}")
-            self._parts.append(part)
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(target=_write_trace_part,
-                                      args=(part, self._series, self._trace, slice(lo, hi), writer))
-            try:
-                process.start()
-            finally:
-                writer.close()  # so the reader sees EOF when the worker ends
-            self._workers.append((process, reader))
-
     def finish(self) -> Path:
         """Wait for the workers and publish their parts, in order, as the
         file at path; returns path. A worker's exception is raised here; a
-        worker that exited nonzero without one raises OSError."""
+        worker that exited without one raises OSError."""
         try:
             if not self._workers:
                 atomic_write_text(self.path, trace_csv_text(self._series, self._trace))
                 return self.path
-            for process, reader in self._workers:
-                try:
-                    error = reader.recv()
-                except EOFError:  # the worker ended without sending an exception
-                    error = None
-                process.join()
-                if error is not None:
-                    raise error
-                if process.exitcode:
-                    raise OSError(f"{self.path}: a trace.csv worker exited with code {process.exitcode}")
+            self._workers.results(self.path)
             with _atomic_file(self.path, "wb") as handle:
                 for part in self._parts:
                     with open(part, "rb") as source:
@@ -657,12 +764,7 @@ class TraceCsvWriter(contextlib.AbstractContextManager):
 
     def close(self) -> None:
         """Kill any worker still running, wait for every one, and remove the part files."""
-        for process, reader in self._workers:
-            process.kill()  # no effect on a worker that has been joined
-            process.join()
-            process.close()
-            reader.close()
-        self._workers = []
+        self._workers.close()
         for part in self._parts:
             part.unlink(missing_ok=True)
         self._parts = []
@@ -671,19 +773,10 @@ class TraceCsvWriter(contextlib.AbstractContextManager):
         self.close()
 
 
-def _write_trace_part(path: Path, series: FlowSeries, trace: FilterTrace, blocks: slice, errors) -> None:
-    """A worker's work: the blocks of trace.csv that blocks selects, into a
-    new file at path. An exception is sent back through errors."""
-    import signal  # here, as importing flowcast.cli does not load it
-
-    # A Ctrl-C reaches the whole process group; only the main process acts
-    # on it, by killing the workers.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        with open(path, "x", encoding="utf-8") as handle:
-            handle.writelines(trace_csv_text(series, trace, blocks))
-    except Exception as exc:
-        errors.send(exc)
+def _write_trace_part(path: Path, series: FlowSeries, trace: FilterTrace, blocks: slice) -> None:
+    """A worker's work: the blocks of trace.csv that blocks selects, into a new file at path."""
+    with open(path, "x", encoding="utf-8") as handle:
+        handle.writelines(trace_csv_text(series, trace, blocks))
 
 
 def write_report(report: EvaluationReport, trace_csv: TraceCsvWriter, params: FilterParams,

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -135,6 +136,36 @@ class TestForecast:
 
     def test_zero_horizon_is_usage_error(self, counts_csv):
         assert run_cli("forecast", str(counts_csv), "--horizon", "0") == 1
+
+
+def _fed_fifo(path, data):
+    """A FIFO at path, and a daemon thread that writes data into it once a reader opens it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    return path, writer
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestFifoInput:
+    """A counts FIFO, which can be read only once, gives what the same counts in a file give."""
+
+    def test_run(self, tmp_path, counts_csv):
+        fifo, writer = _fed_fifo(tmp_path / "counts.fifo", counts_csv.read_bytes())
+        assert run_cli("run", str(fifo), "--out-dir", str(tmp_path / "fifo")) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert run_cli("run", str(counts_csv), "--out-dir", str(tmp_path / "file")) == 0
+        assert (tmp_path / "fifo" / "report.json").read_bytes() == (tmp_path / "file" / "report.json").read_bytes()
+
+    def test_convert(self, tmp_path, counts_csv, capsys):
+        fifo, writer = _fed_fifo(tmp_path / "counts.fifo", counts_csv.read_bytes())
+        assert run_cli("convert", str(fifo)) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        from_fifo = capsys.readouterr().out
+        assert run_cli("convert", str(counts_csv)) == 0
+        assert from_fifo == capsys.readouterr().out
 
 
 class TestRunAndEvaluate:
@@ -529,7 +560,8 @@ class TestParallelTrace:
         counts = _many_bins_counts(tmp_path / "counts.csv")
         out_dir = tmp_path / "results"
         assert run_cli("run", str(counts), "--out-dir", str(out_dir)) == 2
-        assert "worker exited with code 7" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"flowcast: error: {out_dir / 'trace.csv'}: a worker exited with code 7\n" in err
         assert _leftovers(out_dir) == [] and not (out_dir / "trace.csv").exists()
         assert multiprocessing.active_children() == []
 

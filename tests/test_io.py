@@ -2,6 +2,7 @@
 
 import json
 import math
+import mmap
 import multiprocessing
 import os
 import random
@@ -330,6 +331,22 @@ _MUTATIONS = {
 }
 
 
+def _straddling_file(path):
+    """A plain counts file of 3 MiB, in assorted spellings, with CRs, blank
+    lines and no LF after the last line; returns path."""
+    rng = random.Random(9)
+    spellings = ["bus", "Private Car", "private_car", "CYCLE-RICKSHAW", "rickshaw", " car ", "c n g", "Commercial_Vehicle"]
+    lines, size = ["timestamp,vehicle_class,count"], 0
+    while size < 3 << 20:
+        stamp = rng.choice([rng.randrange(10**9, 2 * 10**9), -rng.randrange(10**6), rng.randrange(10**18)])
+        line = f"{stamp},{rng.choice(spellings)},{rng.randrange(10 ** rng.randrange(1, 19))}"
+        lines.append(line + "\r" if rng.random() < 0.1 else line)
+        lines += [""] * (rng.random() < 0.01)
+        size += len(line) + 1
+    path.write_bytes("\n".join(lines).encode())
+    return path
+
+
 class TestPlainCountsReader:
     """The bulk reader for plain counts files against the row loop, which is the reference."""
 
@@ -341,17 +358,7 @@ class TestPlainCountsReader:
         assert _columns(_read_counts_plain(path)) == _columns(_read_counts_rows(path))
 
     def test_rows_straddling_blocks(self, tmp_path):
-        rng = random.Random(9)
-        spellings = ["bus", "Private Car", "private_car", "CYCLE-RICKSHAW", "rickshaw", " car ", "c n g", "Commercial_Vehicle"]
-        lines, size = ["timestamp,vehicle_class,count"], 0
-        while size < 3 << 20:
-            stamp = rng.choice([rng.randrange(10**9, 2 * 10**9), -rng.randrange(10**6), rng.randrange(10**18)])
-            line = f"{stamp},{rng.choice(spellings)},{rng.randrange(10 ** rng.randrange(1, 19))}"
-            lines.append(line + "\r" if rng.random() < 0.1 else line)
-            lines += [""] * (rng.random() < 0.01)
-            size += len(line) + 1
-        path = tmp_path / "counts.csv"
-        path.write_bytes("\n".join(lines).encode())
+        path = _straddling_file(tmp_path / "counts.csv")
         assert path.stat().st_size > 8 * flowcast.io._BLOCK_BYTES
         assert _columns(_read_counts_plain(path)) == _columns(_read_counts_rows(path))
 
@@ -382,31 +389,229 @@ class TestPlainCountsReader:
             _read_counts_plain(path)
         assert _columns(read_counts_csv(path)) == _columns(_read_counts_rows(path))
 
-    def test_memory_peak_is_the_columns_plus_a_block_allowance(self, tmp_path):
+    def test_memory_peak_is_the_columns_plus_a_block_allowance(self, tmp_path, monkeypatch):
         # The rows are never copied from growing pieces into the result,
         # so beyond the columns the reader holds only a block's buffer and
         # its temporaries, however long the file. They take about 1.9 MB
         # here; the row loop holds 2.2 MB above its columns on a year of
         # 946,080 rows.
-        block_allowance = 3_000_000
-        rows = 200_000
-        rng = random.Random(3)
-        labels = [c.label for c in VehicleClass]
-        text = "".join(
-            f"{1704067200 + 300 * (i // 9) + rng.randrange(300)},{labels[i % 9]},{rng.randrange(40)}\n" for i in range(rows)
-        )
-        path = tmp_path / "counts.csv"
-        path.write_text("timestamp,vehicle_class,count\n" + text, encoding="utf-8")
-        del text
-        tracemalloc.start()
-        try:
-            counts = read_counts_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(counts) == rows
+        counts, peak = _counts_memory_peak(tmp_path, monkeypatch, 200_000, blank_lines=0)
         column_bytes = counts.timestamps.nbytes + counts.classes.nbytes + counts.counts.nbytes
-        assert peak <= column_bytes + block_allowance
+        assert peak <= column_bytes + _BLOCK_ALLOWANCE
+
+    def test_blank_lines_move_the_rows_in_place(self, tmp_path, monkeypatch):
+        # Blank lines leave a gap after the first share's rows, so the
+        # second share's rows are moved down, within the mapping. A copy
+        # of the timestamps, 3.2 MB, would show above the block allowance.
+        counts, peak = _counts_memory_peak(tmp_path, monkeypatch, 400_000, blank_lines=200)
+        assert peak <= _BLOCK_ALLOWANCE
+
+
+_BLOCK_ALLOWANCE = 3_000_000
+
+
+def _counts_memory_peak(tmp_path, monkeypatch, rows, blank_lines):
+    """Read a plain counts file of rows rows in two shares, with blank_lines
+    blank lines spread through it; returns the counts and the peak of
+    memory that tracemalloc saw.
+
+    tracemalloc does not see the pages of an mmap, which hold the columns,
+    so this also checks that they are views of one mapping, 17 bytes for
+    each LF, plus one for a last line without an LF.
+    """
+    rng = random.Random(3)
+    labels = [c.label for c in VehicleClass]
+    text = "".join(
+        f"{1704067200 + 300 * (i // 9) + rng.randrange(300)},{labels[i % 9]},{rng.randrange(40)}\n"
+        + "\n" * (blank_lines > 0 and i % (rows // blank_lines) == 1) for i in range(rows)
+    )
+    path = tmp_path / "counts.csv"
+    path.write_text("timestamp,vehicle_class,count\n" + text, encoding="utf-8")
+    del text
+    monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
+    forks = _fork_counter(monkeypatch)
+    tracemalloc.start()
+    try:
+        counts = read_counts_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 1 and len(counts) == rows
+    assert _columns(counts) == _columns(_read_counts_rows(path))
+    mapping = {_buffer_owner(column) for column in (counts.timestamps, counts.classes, counts.counts)}
+    assert len(mapping) == 1
+    (mapping,) = mapping
+    assert isinstance(mapping, mmap.mmap) and len(mapping) == 17 * (rows + blank_lines + 1)
+    return counts, peak
+
+
+def _buffer_owner(column):
+    """The object whose buffer holds an array's data."""
+    while isinstance(column, np.ndarray):
+        column = column.base
+    return column.obj
+
+
+def _fork_counter(monkeypatch):
+    """A list that gets an entry for each worker flowcast.io forks from now on."""
+    forks = []
+    start = flowcast.io._Workers.start
+
+    def counted(workers, function, *args):
+        forks.append(function)
+        start(workers, function, *args)
+
+    monkeypatch.setattr(flowcast.io._Workers, "start", counted)
+    return forks
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+class TestCountsShares:
+    """A plain counts file read in shares by forked workers, against the row loop."""
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_any_share_count_reads_as_the_row_loop_reads(self, tmp_path, monkeypatch, cpus):
+        path = _straddling_file(tmp_path / "counts.csv")
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: cpus)
+        monkeypatch.setattr(flowcast.io, "_SHARE_BYTES", 1 << 16)
+        forks = _fork_counter(monkeypatch)
+        assert _columns(_read_counts_plain(path)) == _columns(_read_counts_rows(path))
+        assert forks == [flowcast.io._read_share] * (cpus - 1)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fault, error", [
+        (b"0,b\xffus,1", MalformedRow),
+        (b"0,bus,1,2", MalformedRow),
+        (b"0,hovercraft,1", UnknownVehicleClass),
+    ], ids=["bad-byte", "extra-comma", "unknown-label"])
+    def test_a_fault_in_the_last_share_reads_as_the_row_loop_reads(self, tmp_path, monkeypatch, fault, error):
+        raw = _straddling_file(tmp_path / "counts.csv").read_bytes()
+        at = raw.rindex(b"\n", 0, len(raw) - 1000) + 1  # a line near the end
+        path = tmp_path / "faulty.csv"
+        path.write_bytes(raw[:at] + fault + b"\n" + raw[at:])
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 3)
+        forks = _fork_counter(monkeypatch)
+        outcome = _outcome(read_counts_csv, path)
+        assert forks and outcome[0] is error
+        assert outcome == _outcome(_read_counts_rows, path)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_blank_lines_and_a_crlf_at_a_share_start(self, tmp_path, monkeypatch, cpus):
+        # Distinct rows of 18 bytes, CRLF-ended, with runs of blank lines;
+        # the body is sized so that the first share's nominal end falls
+        # between a CR and its LF.
+        header = b"timestamp,vehicle_class,count\r\n"
+        rows = [b"\r\n" * 7 * (i % 50 == 0) + b"%d,bus,%d\r\n" % (1704067200 + i, 10 + i % 90) for i in range(40_000)]
+        body = b"".join(rows)
+        while body[len(body) // cpus - 1 : len(body) // cpus + 1] != b"\r\n":
+            body += b"\n"
+        path = tmp_path / "counts.csv"
+        path.write_bytes(header + body)
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: cpus)
+        monkeypatch.setattr(flowcast.io, "_SHARE_BYTES", 1 << 16)
+        forks = _fork_counter(monkeypatch)
+        assert _columns(read_counts_csv(path)) == _columns(_read_counts_rows(path))
+        assert len(forks) == cpus - 1
+        assert len(read_counts_csv(path)) == 40_000
+
+    def test_a_last_line_without_an_lf(self, tmp_path, monkeypatch):
+        path = _straddling_file(tmp_path / "counts.csv")
+        assert not path.read_bytes().endswith(b"\n")
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
+        counts = read_counts_csv(path)
+        assert _columns(counts) == _columns(_read_counts_rows(path))
+        assert counts.counts[-1] == int(path.read_bytes().rsplit(b",", 1)[1])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_worker_that_raises_leaves_no_child_and_no_pipe(self, tmp_path, monkeypatch):
+        path = _straddling_file(tmp_path / "counts.csv")
+        parent = os.getpid()
+        plain_rows = flowcast.io._plain_rows
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise OSError("the disk went away")
+            return plain_rows(*args)
+
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 4)
+        monkeypatch.setattr(flowcast.io, "_plain_rows", failing)
+        fds = _open_fds()
+        with pytest.raises(OSError, match="the disk went away"):
+            read_counts_csv(path)
+        assert multiprocessing.active_children() == []
+        assert _open_fds() == fds
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_file_put_at_the_path_after_the_count_is_read_whole(self, tmp_path, monkeypatch, cpus):
+        # The new file is the old one with an 8-byte row put first, so the
+        # old file's byte range of it ends inside its last row, at a plain
+        # row "5,bus,12" that the LF count has room for.
+        path = _straddling_file(tmp_path / "counts.csv")
+        path.write_bytes(path.read_bytes() + b"\n5,bus,123456789\n")
+        header, body = path.read_bytes().split(b"\n", 1)
+        new = tmp_path / "new.csv"
+        new.write_bytes(header + b"\n0,car,1\n" + body)
+        lf_count = flowcast.io._lf_count
+
+        def swapped(*args):  # while the caller counts LFs through its open handle
+            if new.exists():
+                os.replace(new, path)
+            return lf_count(*args)
+
+        monkeypatch.setattr(flowcast.io, "_lf_count", swapped)
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: cpus)
+        forks = _fork_counter(monkeypatch)
+        counts = read_counts_csv(path)
+        assert len(forks) == cpus - 1
+        assert _columns(counts) == _columns(_read_counts_rows(path))
+        assert counts.counts[0] == 1 and counts.counts[-1] == 123456789
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_worker_dying_silently_names_the_file(self, tmp_path, monkeypatch):
+        path = _straddling_file(tmp_path / "counts.csv")
+        parent = os.getpid()
+        plain_rows = flowcast.io._plain_rows
+
+        def die(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return plain_rows(*args)
+
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
+        monkeypatch.setattr(flowcast.io, "_plain_rows", die)
+        fds = _open_fds()
+        with pytest.raises(OSError) as raised:
+            read_counts_csv(path)
+        assert str(raised.value) == f"{path}: a worker exited with code 7"
+        assert multiprocessing.active_children() == []
+        assert _open_fds() == fds
+
+    def test_a_share_is_at_least_a_mib(self, tmp_path, monkeypatch):
+        # Under 2 MiB, one process reads the file: a fork costs more than
+        # half such a parse saves. The 3 MiB file is read in 3 shares.
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 4)
+        forks = _fork_counter(monkeypatch)
+        raw = _straddling_file(tmp_path / "counts.csv").read_bytes()
+        small = tmp_path / "small.csv"
+        small.write_bytes(raw[: raw.index(b"\n", 2 * flowcast.io._SHARE_BYTES - 100)])
+        assert _columns(read_counts_csv(small)) == _columns(_read_counts_rows(small))
+        assert forks == []
+        assert _columns(read_counts_csv(tmp_path / "counts.csv")) == _columns(_read_counts_rows(tmp_path / "counts.csv"))
+        assert len(forks) == 2
+
+    def test_a_survey_of_36_bins_forks_nothing(self, tmp_path, monkeypatch):
+        labels = [c.label for c in VehicleClass]
+        path = tmp_path / "counts.csv"
+        path.write_text("timestamp,vehicle_class,count\n" + "".join(
+            f"{300 * b + 7 * i},{label},{b + i}\n" for b in range(36) for i, label in enumerate(labels)))
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 4)
+        forks = _fork_counter(monkeypatch)
+        assert len(aggregate(read_counts_csv(path), PcuTable.default(), 300)) == 36
+        assert forks == []
 
 
 class TestSeriesCsv:
@@ -887,7 +1092,7 @@ class TestParallelTraceWriter:
         monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: workers)
         with TraceCsvWriter(tmp_path / "trace.csv", series, trace) as trace_csv:
             blocks = -(-(length + 1) // flowcast.io._BLOCK_LINES)
-            assert len(trace_csv._workers) == min(workers, blocks, flowcast.io._MAX_TRACE_WORKERS)
+            assert len(trace_csv._workers) == min(workers, blocks, flowcast.io._MAX_WORKERS)
             path = trace_csv.finish()
         assert path.read_text() == "".join(trace_csv_text(series, trace))
         assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
@@ -897,7 +1102,7 @@ class TestParallelTraceWriter:
     def test_one_cpu_and_every_cpu_write_the_same_bytes(self, tmp_path):
         series, trace = _gamma_trace(20_000, 5)
         cpus = os.sched_getaffinity(0)
-        workers = min(len(cpus), flowcast.io._MAX_TRACE_WORKERS)
+        workers = min(len(cpus), flowcast.io._MAX_WORKERS)
         try:
             os.sched_setaffinity(0, {min(cpus)})
             with TraceCsvWriter(tmp_path / "one" / "trace.csv", series, trace) as trace_csv:
@@ -1063,3 +1268,26 @@ class TestConfig:
     def test_runconfig_direct_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(bin_duration=-5)
+
+    # A None for each setting whose default is not None, and the exact message it gives.
+    NONE_REFUSED = {
+        "bin_duration": "bin_duration must be > 0, got None",
+        "init_var": "p0 must be finite and >= 0, got None",
+        "transition": "m_t must be finite, got None",
+        "percent_denominator": "percent_denominator must be one of ('forecast', 'observed'), got None",
+        "evaluate_mode": "evaluate_mode must be one of ('predicted', 'filtered'), got None",
+        "histogram_bins": "histogram_bins must be from 1 to 556, got None",
+    }
+
+    def test_none_refused_where_the_default_is_not_none(self):
+        from flowcast.config import SETTINGS
+
+        defaults = RunConfig()
+        assert sorted(self.NONE_REFUSED) == sorted(s.field for s in SETTINGS if getattr(defaults, s.field) is not None)
+        for name, message in self.NONE_REFUSED.items():
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                RunConfig(**{name: None})
+
+    def test_none_is_not_set_where_it_is_the_default(self):
+        config = RunConfig(process_var=None, measurement_var=None, out_dir=None)
+        assert (config.process_var, config.measurement_var, config.out_dir) == (None, None, None)
