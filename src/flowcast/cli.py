@@ -27,9 +27,9 @@ from flowcast.io import (
     counts_csv_text,
     parse_timestamp,
     read_counts_csv,
+    read_input,
     read_series_csv,
     series_csv_text,
-    sniff_input_kind,
     write_report,
 )
 from flowcast.kalman import FilterParams, estimate_noise, filter_series, forecast_next
@@ -134,10 +134,8 @@ def _cmd_convert(args: argparse.Namespace) -> None:
 
 
 def _load_series(path: str, config: RunConfig) -> FlowSeries:
-    kind = sniff_input_kind(path)
-    if kind == "counts":
-        return aggregate(read_counts_csv(path), config.pcu_table(), config.bin_duration)
-    return read_series_csv(path)
+    data = read_input(path)
+    return data if isinstance(data, FlowSeries) else aggregate(data, config.pcu_table(), config.bin_duration)
 
 
 def _cmd_forecast(args: argparse.Namespace) -> None:

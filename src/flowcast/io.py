@@ -39,22 +39,28 @@ the rule for a file under 2 MiB, one CPU, no os.sched_getaffinity, or
 another thread running, as a fork could then deadlock on a lock that
 thread held.
 
-The series and trace CSVs are written 4096 lines at a time. For each
-block the rows of the float columns are copied into one numpy array, repr
-runs once for each distinct bit pattern in it (so -0.0 and 0.0 keep their
-own text), and the lines are joined from those strings; the bytes are
-those of a per-row f-string of plain floats.
+The series and trace CSVs are written 4096 lines at a time, and the
+lines of a block are joined from the texts of its floats; the bytes are
+those of a per-row f-string of plain floats. A column with few distinct
+values (the series, and the trace's observed values and gains) runs repr
+once for each distinct bit pattern in the block, found by np.unique, so
+-0.0 and 0.0 keep their own text. The trace's estimates and innovations
+run repr on each value, and a forecast takes the text of the estimate
+before it where their bits match.
 
-TraceCsvWriter writes trace.csv in forked worker processes while the
-caller goes on, one for each of as many contiguous shares of the trace's
-blocks as the same rule allows. Each writes its share into its own part
-file beside the target, named trace.csv.<pid>-<random>.part<i>. The
-caller then copies the parts in order, 256 KiB at a time, into the temp
-file, which is synced and renamed. With one share (fewer than 4096 bins,
-or one share by the rule above), the calling process writes the trace
-itself, as it writes every other file. Whatever fails, every worker is
-killed and waited for and every part and temp file is removed; no
-trace.csv is published, and a previous one stays.
+TraceCsvWriter writes trace.csv with as many writers as the same rule
+allows: the calling process, and a forked worker for each other one. It
+forks the workers and writes every block number into one pipe, then a
+stop mark for each writer. A worker takes the next number from the pipe
+at once, and the caller once its other work is done, in finish(); each
+writes that block into its own part file beside the target, named
+trace.csv.<pid>-<random>.part<block>. The caller then copies the parts
+in order, 256 KiB at a time, into the temp file, which is synced and
+renamed. With one writer (fewer than 4096 bins, or one by the rule
+above), the calling process writes the trace itself, as it writes every
+other file. Whatever fails, every worker is killed and waited for and
+every part and temp file is removed; no trace.csv is published, and a
+previous one stays.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ import warnings
 from array import array
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -173,9 +179,10 @@ def _normalized(header: list[str]) -> list[str]:
     return [h.strip().lower() for h in header]
 
 
-def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each non-blank row after the header."""
-    records = _records(path)
+def _read_rows(path: str | Path, expected_header: list[str], records: Iterator | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each non-blank row after the header,
+    from records, or else from the file at path (see _records)."""
+    records = _records(path) if records is None else records
     header_line, header = _header(records, path)
     if header != expected_header:
         raise MalformedRow(header_line, f"expected header {','.join(expected_header)!r}")
@@ -187,30 +194,31 @@ def _read_rows(path: str | Path, expected_header: list[str]) -> Iterator[tuple[i
         raise EmptyInput(f"{path}: no data rows")
 
 
-def read_counts_csv(path: str | Path) -> ClassifiedCounts:
+def read_counts_csv(path: str | Path, records: Iterator[tuple[int, list[str]]] | None = None) -> ClassifiedCounts:
     """Parse a classified-count CSV, preserving row order.
 
     Timestamps and counts must fit in a signed 64-bit integer. A regular
     file in the plain form (see _read_counts_plain), which flowcast
     simulate writes, is parsed in bulk; any other file or stream is read
-    row by row, with the same result and the same errors.
+    row by row, with the same result and the same errors, from records
+    if they are given: the file's _records, from the header on.
     """
     if os.path.isfile(path):  # a pipe or other stream can be read once: by the row loop
         try:
             return _read_counts_plain(path)
         except _NotPlain:
             pass  # read again outside the handler, once the bulk reader's columns are freed
-    return _read_counts_rows(path)
+    return _read_counts_rows(path, records)
 
 
-def _read_counts_rows(path: str | Path) -> ClassifiedCounts:
+def _read_counts_rows(path: str | Path, records: Iterator[tuple[int, list[str]]] | None = None) -> ClassifiedCounts:
     """read_counts_csv for any file, a row at a time: the reference reader,
     and the only one that words an error or numbers a line."""
     timestamps = array("q")
     classes = array("b")
     counts = array("q")
     class_index: dict[str, int] = {}  # raw label -> index into VEHICLE_CLASSES
-    for line, row in _read_rows(path, COUNTS_HEADER):
+    for line, row in _read_rows(path, COUNTS_HEADER, records):
         if len(row) != 3:
             raise MalformedRow(line, f"expected 3 fields, got {len(row)}")
         try:
@@ -483,27 +491,29 @@ def _class_of(label: bytes, class_index: dict[bytes, int]) -> int:
     return index
 
 
-def read_series_csv(path: str | Path) -> FlowSeries:
+def read_series_csv(path: str | Path, records: Iterator[tuple[int, list[str]]] | None = None) -> FlowSeries:
     """Parse an aggregated series CSV; bins must be evenly spaced, so two rows at least.
 
-    A file in the plain form (see _read_series_plain), which flowcast
-    convert writes, is parsed in bulk; any other file is read row by row,
-    with the same result and the same errors.
+    A regular file in the plain form (see _read_series_plain), which
+    flowcast convert writes, is parsed in bulk; any other file or stream
+    is read row by row, with the same result and the same errors, from
+    records if they are given, as read_counts_csv does.
     """
-    try:
-        return _read_series_plain(path)
-    except _NotPlain:
-        pass  # read again outside the handler, once the bulk reader's values are freed
-    return _read_series_rows(path)
+    if os.path.isfile(path):  # a pipe or other stream can be read once: by the row loop
+        try:
+            return _read_series_plain(path)
+        except _NotPlain:
+            pass  # read again outside the handler, once the bulk reader's values are freed
+    return _read_series_rows(path, records)
 
 
-def _read_series_rows(path: str | Path) -> FlowSeries:
+def _read_series_rows(path: str | Path, records: Iterator[tuple[int, list[str]]] | None = None) -> FlowSeries:
     """read_series_csv for any file, a row at a time: the reference reader,
     and the only one that words an error or numbers a line."""
     lines: list[int] = []
     starts: list[int] = []
     values: list[float] = []
-    for line, row in _read_rows(path, SERIES_HEADER):
+    for line, row in _read_rows(path, SERIES_HEADER, records):
         if len(row) != 2:
             raise MalformedRow(line, f"expected 2 fields, got {len(row)}")
         lines.append(line)
@@ -558,13 +568,19 @@ def _read_series_plain(path: str | Path) -> FlowSeries:
     return FlowSeries(first, step, values)
 
 
-def sniff_input_kind(path: str | Path) -> str:
-    """'counts' or 'series', judged by the header: the first non-blank row."""
-    line, header = _header(_records(path), path)
-    if header == COUNTS_HEADER:
-        return "counts"
-    if header == SERIES_HEADER:
-        return "series"
+def read_input(path: str | Path) -> ClassifiedCounts | FlowSeries:
+    """The counts or the series in a counts or series CSV, judged by its
+    header: the first non-blank row. The row loop goes on reading the
+    stream the header came from, so a pipe, which can be read once, works."""
+    import itertools  # here, as no other path needs it
+
+    with contextlib.closing(_records(path)) as records:
+        line, header = _header(records, path)
+        rows = itertools.chain([(line, header)], records)
+        if header == COUNTS_HEADER:
+            return read_counts_csv(path, rows)
+        if header == SERIES_HEADER:
+            return read_series_csv(path, rows)
     raise MalformedRow(line, f"unrecognized header {','.join(header)!r}")
 
 
@@ -579,38 +595,38 @@ def counts_csv_text(counts: ClassifiedCounts) -> str:
 _BLOCK_LINES = 4096
 
 
-def _float_csv_blocks(head: list[str], starts: range, columns: Sequence[np.ndarray],
-                      blocks: slice = slice(None)) -> Iterator[str]:
-    """The head lines, then one line for each bin start with the floats of
-    its row, as blocks of _BLOCK_LINES lines, each ending in a newline;
-    only the blocks that blocks selects are made.
+def _float_csv_blocks(head: list[str], starts: range, fields: Callable, blocks: slice = slice(None)) -> Iterator[str]:
+    """The head lines, then one line for each bin start, as blocks of
+    _BLOCK_LINES lines, each ending in a newline; only the blocks that
+    blocks selects are made.
 
-    columns are float64 columns as long as starts. A row's line is its
-    start, then each column's float by repr, joined by commas. Each block
-    copies only its own rows of the columns.
+    fields(rows) gives the texts of the floats in rows, a slice of starts'
+    indices, as one list a column; a row's line is its start, then its
+    text in each column, joined by commas. Each block makes only its own
+    rows' texts.
     """
     for lo in range(-len(head), len(starts), _BLOCK_LINES)[blocks]:
         rows = slice(max(lo, 0), lo + _BLOCK_LINES)
-        block = np.array([column[rows] for column in columns])
-        yield "\n".join([*(head if lo < 0 else ()), *_float_rows(starts[rows], block)]) + "\n"
+        yield "\n".join([*(head if lo < 0 else ()), *_float_rows(starts[rows], fields(rows))]) + "\n"
 
 
-def _float_rows(starts: range, block: np.ndarray) -> Iterator[str]:
-    """The lines of one block of _float_csv_blocks.
+def _float_rows(starts: range, fields: list[list[str]]) -> Iterator[str]:
+    """The lines of one block of _float_csv_blocks."""
+    return map(",".join, zip(map(str, starts), *fields))
 
-    repr runs once for each distinct float in the block. The floats are
-    told apart by their bits, so -0.0 and 0.0 keep their own text.
-    """
-    distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
+
+def _distinct_texts(column: np.ndarray) -> list[str]:
+    """repr of each float in column, run once for each distinct bit
+    pattern, so that -0.0 and 0.0 keep their own text."""
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
     texts = np.array([repr(value) for value in distinct.view(np.float64).tolist()], dtype=object)
-    # The inverse is flat in numpy 1.x and shaped like its input in 2.x.
-    fields = texts[inverse.reshape(block.shape)]
-    return map(",".join, zip(map(str, starts), *(column.tolist() for column in fields)))
+    return texts[inverse].tolist()
 
 
 def series_csv_text(series: FlowSeries) -> Iterator[str]:
     """Yield the series CSV in blocks of lines."""
-    return _float_csv_blocks([",".join(SERIES_HEADER)], series.bin_starts(), [series.values])
+    return _float_csv_blocks([",".join(SERIES_HEADER)], series.bin_starts(),
+                             lambda rows: [_distinct_texts(series.values[rows])])
 
 
 def trace_csv_text(series: FlowSeries, trace: FilterTrace, blocks: slice = slice(None)) -> Iterator[str]:
@@ -624,8 +640,27 @@ def trace_csv_text(series: FlowSeries, trace: FilterTrace, blocks: slice = slice
     starts = series.bin_starts()
     # repr of an np.float64 is "np.float64(...)" in numpy 2: write a plain float.
     first = f"{starts[0]},{float(series.values[0])!r},,{float(trace.initial_estimate)!r},,"
-    columns = [series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations]
-    return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:], columns, blocks)
+    return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:],
+                             lambda rows: _trace_fields(series, trace, rows), blocks)
+
+
+def _trace_fields(series: FlowSeries, trace: FilterTrace, rows: slice) -> list[list[str]]:
+    """The texts of trace.csv's float columns in rows of the bins after the first.
+
+    Observed values and gains take few values, so each goes through
+    _distinct_texts; repr takes the estimates and innovations one by one.
+    A forecast is m_t times the estimate before it, and takes that
+    estimate's text where their bits match, as they do at m_t = 1.
+    """
+    before = trace.estimates[rows.start - 1] if rows.start else float(trace.initial_estimate)
+    states = np.concatenate(([before], trace.estimates[rows]))
+    texts = list(map(repr, states.tolist()))
+    forecasts = trace.forecasts[rows]
+    same = forecasts.view(np.int64) == states[:-1].view(np.int64)
+    forecast_texts = texts[:-1] if same.all() else [
+        text if kept else repr(value) for text, kept, value in zip(texts, same.tolist(), forecasts.tolist())]
+    return [_distinct_texts(series.values[1:][rows]), forecast_texts, texts[1:], _distinct_texts(trace.gains[rows]),
+            list(map(repr, trace.innovations[rows].tolist()))]
 
 
 def report_json_text(report: EvaluationReport, params: FilterParams) -> str:
@@ -716,13 +751,15 @@ def _work(function, args, results) -> None:
 
 class TraceCsvWriter(contextlib.AbstractContextManager):
     """Writes trace.csv for a series and its trace to path, in worker
-    processes while the caller goes on with other work.
+    processes while the caller goes on with other work, and then in the
+    caller too.
 
-    Made, it starts the workers; finish() waits for them and publishes the
-    file. Used as a context manager, it kills and waits for every worker
-    on leaving the block, whether or not finish() ran, and removes their
-    part files. When one process is to write the trace (see the module
-    docstring), it is this one, in finish().
+    Made, it starts the workers, which take the file's blocks from one
+    queue; finish() takes the blocks still queued, waits for the workers
+    and publishes the file. Used as a context manager, it kills and waits
+    for every worker on leaving the block, whether or not finish() ran,
+    and removes the part files. When one process is to write the trace
+    (see the module docstring), it is this one, in finish().
     """
 
     def __init__(self, path: str | Path, series: FlowSeries, trace: FilterTrace):
@@ -731,28 +768,35 @@ class TraceCsvWriter(contextlib.AbstractContextManager):
         self._trace = trace
         self._workers = _Workers()
         self._parts: list[Path] = []
+        self._queue: int | None = None
         blocks = -(-(len(series) + 1) // _BLOCK_LINES)  # a header line and one line a bin
-        if (count := min(_worker_cpus(), blocks, _MAX_WORKERS)) > 1:
-            try:  # fork count workers, each writing a contiguous share of the blocks
+        if (writers := min(_worker_cpus(), blocks, _MAX_WORKERS)) > 1:
+            try:  # fork a worker for each writer but this process
                 self.path.parent.mkdir(parents=True, exist_ok=True)  # the part files go beside the target
                 token = f"{os.getpid()}-{os.urandom(4).hex()}"
-                bounds = [blocks * i // count for i in range(count + 1)]
-                for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                    part = self.path.with_name(f"{self.path.name}.{token}.part{i}")
-                    self._parts.append(part)
-                    self._workers.start(_write_trace_part, part, series, trace, slice(lo, hi))
+                self._parts = [self.path.with_name(f"{self.path.name}.{token}.part{i}") for i in range(blocks)]
+                self._queue, feed = os.pipe()
+                with open(feed, "wb") as queue:
+                    for _ in range(writers - 1):
+                        self._workers.start(_write_trace_part, self._parts, series, trace, self._queue)
+                    # The block numbers, then a stop mark (a number past them) for
+                    # each writer. They go in once the workers can take them: a
+                    # pipe may hold as little as 4 KiB, 1024 numbers.
+                    queue.write(np.arange(blocks + writers, dtype="<u4").tobytes())
             except BaseException:
                 self.close()
                 raise
 
     def finish(self) -> Path:
-        """Wait for the workers and publish their parts, in order, as the
-        file at path; returns path. A worker's exception is raised here; a
-        worker that exited without one raises OSError."""
+        """Write the blocks still queued, wait for the workers and publish
+        the parts, in order, as the file at path; returns path. A worker's
+        exception is raised here; a worker that exited without one raises
+        OSError."""
         try:
             if not self._workers:
                 atomic_write_text(self.path, trace_csv_text(self._series, self._trace))
                 return self.path
+            _write_trace_part(self._parts, self._series, self._trace, self._queue)
             self._workers.results(self.path)
             with _atomic_file(self.path, "wb") as handle:
                 for part in self._parts:
@@ -763,20 +807,26 @@ class TraceCsvWriter(contextlib.AbstractContextManager):
             self.close()
 
     def close(self) -> None:
-        """Kill any worker still running, wait for every one, and remove the part files."""
+        """Kill any worker still running, wait for every one, remove the part files and close the queue."""
         self._workers.close()
         for part in self._parts:
             part.unlink(missing_ok=True)
         self._parts = []
+        if self._queue is not None:
+            os.close(self._queue)
+            self._queue = None
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
 
-def _write_trace_part(path: Path, series: FlowSeries, trace: FilterTrace, blocks: slice) -> None:
-    """A worker's work: the blocks of trace.csv that blocks selects, into a new file at path."""
-    with open(path, "x", encoding="utf-8") as handle:
-        handle.writelines(trace_csv_text(series, trace, blocks))
+def _write_trace_part(parts: list[Path], series: FlowSeries, trace: FilterTrace, queue: int) -> None:
+    """A writer's work: take block numbers from queue up to a stop mark,
+    and write each block i of trace.csv into a new file at parts[i]."""
+    # Each number is 4 bytes, and a pipe gives a read of 4 bytes to one reader whole.
+    while (block := int.from_bytes(os.read(queue, 4), "little")) < len(parts):
+        with open(parts[block], "x", encoding="utf-8") as part:
+            part.writelines(trace_csv_text(series, trace, slice(block, block + 1)))
 
 
 def write_report(report: EvaluationReport, trace_csv: TraceCsvWriter, params: FilterParams,

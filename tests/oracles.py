@@ -3,8 +3,8 @@
 Everything here is written from the defining formulas with plain loops
 and math.fsum, on purpose sharing no code path with the package. The
 exceptions are the plain versions of code the package has since made
-faster (trace_csv_lines, fused_filter, noise_estimate): the fast code must
-give their output bit for bit.
+faster (trace_csv_lines, fused_filter, noise_estimate, scatter_marks):
+the fast code must give their output bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import re
 import statistics
 from datetime import datetime, timedelta, timezone
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 
 def running_means(values: Sequence[float]) -> list[float]:
@@ -314,3 +316,17 @@ def pixel_cells(px: Sequence[float], py: Sequence[float]) -> list[tuple[int, int
         first, count = cells.get(cell, (i, 0))
         cells[cell] = (first, count + 1)
     return list(cells.values())
+
+
+def scatter_marks(px: np.ndarray, py: np.ndarray, color: str, height: float) -> list[str]:
+    """The scatter's <circle> marks for points at pixels (px, py), as the
+    float-key form drew them: a cell key of floor(x) * height + floor(y),
+    np.unique for each cell's first point and count, and the cells in the
+    order of their first points."""
+    cells = np.floor(px) * height + np.floor(py)
+    _, first, counts = np.unique(cells, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return [
+        f'<circle cx="{px[i]:.2f}" cy="{py[i]:.2f}" r="3" fill="{color}" fill-opacity="{1.0 - 0.25**count:.6g}"/>'
+        for i, count in zip(first[order].tolist(), counts[order].tolist())
+    ]

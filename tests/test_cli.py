@@ -148,7 +148,7 @@ def _fed_fifo(path, data):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 class TestFifoInput:
-    """A counts FIFO, which can be read only once, gives what the same counts in a file give."""
+    """A FIFO, which can be read only once, gives what the same input in a file gives."""
 
     def test_run(self, tmp_path, counts_csv):
         fifo, writer = _fed_fifo(tmp_path / "counts.fifo", counts_csv.read_bytes())
@@ -166,6 +166,35 @@ class TestFifoInput:
         from_fifo = capsys.readouterr().out
         assert run_cli("convert", str(counts_csv)) == 0
         assert from_fifo == capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["counts", "series"])
+    def test_forecast(self, tmp_path, counts_csv, capsys, kind):
+        path = counts_csv
+        if kind == "series":
+            path = tmp_path / "series.csv"
+            assert run_cli("convert", str(counts_csv), "--out", str(path)) == 0
+        fifo, writer = _fed_fifo(tmp_path / "input.fifo", path.read_bytes())
+        capsys.readouterr()
+        assert run_cli("forecast", str(fifo), "--horizon", "3") == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        from_fifo = capsys.readouterr().out
+        assert run_cli("forecast", str(path), "--horizon", "3") == 0
+        assert from_fifo == capsys.readouterr().out
+
+    def test_evaluate_a_series_the_row_loop_reads(self, tmp_path, counts_csv):
+        # An ISO timestamp keeps the file out of the bulk series reader.
+        series = tmp_path / "series.csv"
+        assert run_cli("convert", str(counts_csv), "--out", str(series)) == 0
+        header, first, rest = series.read_text().split("\n", 2)
+        assert first.startswith("0,")
+        series.write_text(f"{header}\n1970-01-01T00:00:00Z{first[1:]}\n{rest}")
+        fifo, writer = _fed_fifo(tmp_path / "series.fifo", series.read_bytes())
+        assert run_cli("evaluate", str(fifo), "--out-dir", str(tmp_path / "fifo")) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert run_cli("evaluate", str(series), "--out-dir", str(tmp_path / "file")) == 0
+        assert (tmp_path / "fifo" / "trace.csv").read_bytes() == (tmp_path / "file" / "trace.csv").read_bytes()
 
 
 class TestRunAndEvaluate:
@@ -540,7 +569,7 @@ class TestParallelTrace:
         def full(*args):
             raise OSError("no room for the trace")
 
-        monkeypatch.setattr(flowcast.io, "_float_rows", full)  # only the workers format
+        monkeypatch.setattr(flowcast.io, "_float_rows", full)
         counts = _many_bins_counts(tmp_path / "counts.csv")
         out_dir = tmp_path / "results"
         assert run_cli("run", str(counts), "--out-dir", str(out_dir)) == 2
@@ -550,13 +579,14 @@ class TestParallelTrace:
 
     def test_worker_dying_silently_is_an_oserror(self, tmp_path, monkeypatch, capsys):
         parent = os.getpid()
+        write_part = flowcast.io._write_trace_part
 
         def die(*args):
             if os.getpid() != parent:
                 os._exit(7)
-            raise AssertionError("the trace was formatted in the main process")
+            return write_part(*args)  # the main process writes the blocks the worker left
 
-        monkeypatch.setattr(flowcast.io, "_float_rows", die)
+        monkeypatch.setattr(flowcast.io, "_write_trace_part", die)
         counts = _many_bins_counts(tmp_path / "counts.csv")
         out_dir = tmp_path / "results"
         assert run_cli("run", str(counts), "--out-dir", str(out_dir)) == 2

@@ -9,6 +9,7 @@ import random
 import re
 import signal
 import threading
+import time
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from itertools import islice
@@ -29,10 +30,10 @@ from flowcast.io import (
     atomic_write_text,
     counts_csv_text,
     read_counts_csv,
+    read_input,
     read_series_csv,
     report_json_text,
     series_csv_text,
-    sniff_input_kind,
     TraceCsvWriter,
     trace_csv_text,
     write_report,
@@ -663,14 +664,14 @@ class TestSeriesCsv:
         with pytest.raises(MalformedRow):
             read_series_csv(path)
 
-    def test_sniff_distinguishes_headers(self, tmp_path):
+    def test_read_input_judges_by_header(self, tmp_path):
         counts = write(tmp_path, "a.csv", "timestamp,vehicle_class,count\n0,Bus,1\n")
-        series = write(tmp_path, "b.csv", "bin_start,pcu\n0,1.0\n")
+        series = write(tmp_path, "b.csv", "\nBin_Start , PCU\n0,1.0\n300,2.5\n")
         other = write(tmp_path, "c.csv", "x,y\n0,1\n")
-        assert sniff_input_kind(counts) == "counts"
-        assert sniff_input_kind(series) == "series"
-        with pytest.raises(MalformedRow):
-            sniff_input_kind(other)
+        assert list(read_input(counts).rows()) == [(0, VehicleClass.BUS, 1)]
+        assert read_input(series) == FlowSeries(0, 300, [1.0, 2.5])
+        with pytest.raises(MalformedRow, match="unrecognized header 'x,y'"):
+            read_input(other)
 
 
 _SERIES_HEADERS = ["bin_start,pcu", "Bin_Start , PCU", " BIN_START,pcu "]
@@ -1031,6 +1032,40 @@ class TestTraceWriter:
         expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, 1.0)))
         assert list(trace_csv_text(series, trace)) == expected
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        length=st.sampled_from(_TRACE_LENGTHS),
+        pool=st.lists(_FLOAT.filter(math.isfinite), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+        transition=st.sampled_from([1.0, 0.99, -1.0]),
+        changed=st.lists(st.integers(0, 8191), max_size=4),
+    )
+    def test_forecasts_of_the_estimates_before_them(self, length, pool, seed, transition, changed):
+        # Each forecast is m_t times the estimate before it, as filter_series
+        # makes them, but at the rows in changed. Every column holds both
+        # zeros at its first rows and around the first block edge: file
+        # lines 4095 and 4096 are rows 4093 and 4094 of the trace columns.
+        rng = np.random.default_rng(seed)
+
+        def column(size):
+            values = [pool[i] for i in rng.integers(len(pool), size=size).tolist()]
+            for row, zero in zip((0, 1, 2, 4093, 4094, 4095), (-0.0, 0.0, -0.0, 0.0, -0.0, 0.0)):
+                if row < size:
+                    values[row] = zero
+            return values
+
+        estimates = column(length - 1)
+        initial = pool[0]
+        forecasts = [transition * before for before in [initial, *estimates[:-1]]]
+        for row, value in zip(changed, column(len(changed))):
+            if row < len(forecasts):
+                forecasts[row] = value
+        series = FlowSeries(0, 300, column(length))
+        trace = FilterTrace(initial, 1.0, forecasts, estimates, column(length - 1), column(length - 1),
+                            column(length - 1))
+        expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, 1.0)))
+        assert list(trace_csv_text(series, trace)) == expected
+
     @pytest.mark.parametrize("length", _TRACE_LENGTHS)
     def test_signed_zeros_keep_their_sign(self, length):
         # Every block holds both zeros in observed and innovation: a writer
@@ -1092,9 +1127,10 @@ class TestParallelTraceWriter:
         monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: workers)
         with TraceCsvWriter(tmp_path / "trace.csv", series, trace) as trace_csv:
             blocks = -(-(length + 1) // flowcast.io._BLOCK_LINES)
-            assert len(trace_csv._workers) == min(workers, blocks, flowcast.io._MAX_WORKERS)
+            assert len(trace_csv._workers) == min(workers, blocks, flowcast.io._MAX_WORKERS) - 1
             path = trace_csv.finish()
         assert path.read_text() == "".join(trace_csv_text(series, trace))
+        assert path.read_text() == "\n".join(oracles.trace_csv_lines(series, trace, 1.0)) + "\n"
         assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
         assert multiprocessing.active_children() == []
 
@@ -1111,7 +1147,7 @@ class TestParallelTraceWriter:
         finally:
             os.sched_setaffinity(0, cpus)
         with TraceCsvWriter(tmp_path / "all" / "trace.csv", series, trace) as trace_csv:
-            assert len(trace_csv._workers) == (workers if workers > 1 else 0)
+            assert len(trace_csv._workers) == workers - 1
             every = trace_csv.finish().read_bytes()
         assert every == one
         assert one == ("\n".join(oracles.trace_csv_lines(series, trace, 1.0)) + "\n").encode()
@@ -1133,20 +1169,22 @@ class TestParallelTraceWriter:
         series, trace = _gamma_trace(10_000, 4)
         expected = "".join(trace_csv_text(series, trace))
         float_rows = flowcast.io._float_rows
+        parent = os.getpid()
 
-        def interrupted(starts, block):
-            os.kill(os.getpid(), signal.SIGINT)
-            return float_rows(starts, block)
+        def interrupted(starts, fields):
+            if os.getpid() != parent:  # this process formats blocks too, and acts on Ctrl-C
+                os.kill(os.getpid(), signal.SIGINT)
+            return float_rows(starts, fields)
 
         monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
-        monkeypatch.setattr(flowcast.io, "_float_rows", interrupted)  # only the workers format
+        monkeypatch.setattr(flowcast.io, "_float_rows", interrupted)
         with TraceCsvWriter(tmp_path / "trace.csv", series, trace) as trace_csv:
             assert trace_csv.finish().read_text() == expected
 
     def test_parent_memory_peak_on_a_year_is_a_few_blocks(self, tmp_path, monkeypatch):
-        # The workers format the trace; this process holds only a copy
-        # buffer and the workers' handles, within the 4 MB the one-process
-        # writer is held to above.
+        # This process formats its share of the blocks one at a time, then
+        # copies every block once, within the 4 MB the one-process writer
+        # is held to above.
         series, trace = _gamma_trace(105_120, 12)
         monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
         tracemalloc.start()
@@ -1158,6 +1196,49 @@ class TestParallelTraceWriter:
             tracemalloc.stop()
         assert peak <= 4_000_000
         assert (tmp_path / "trace.csv").stat().st_size > 100 * len(series) // 2
+
+    def test_a_slow_worker_leaves_the_blocks_to_this_process(self, tmp_path, monkeypatch):
+        series, trace = _gamma_trace(30_000, 6)
+        blocks = -(-(len(series) + 1) // flowcast.io._BLOCK_LINES)
+        float_rows = flowcast.io._float_rows
+        parent = os.getpid()
+        mine = []  # the first line of each block this process formats
+
+        def slow(starts, fields):
+            if os.getpid() != parent:
+                time.sleep(1.0)
+            else:
+                mine.append(starts[0])
+            return float_rows(starts, fields)
+
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
+        monkeypatch.setattr(flowcast.io, "_float_rows", slow)
+        with TraceCsvWriter(tmp_path / "trace.csv", series, trace) as trace_csv:
+            assert trace_csv.finish().read_text() == "".join(trace_csv_text(series, trace))
+        assert len(mine) >= blocks - 1
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+    @pytest.mark.parametrize("failure", ["raises", "exits"])
+    def test_a_failed_worker_leaves_nothing(self, tmp_path, monkeypatch, failure):
+        series, trace = _gamma_trace(20_000, 7)
+        write_part = flowcast.io._write_trace_part
+        parent = os.getpid()
+
+        def failing(*args):
+            if os.getpid() == parent:
+                return write_part(*args)
+            if failure == "exits":
+                os._exit(3)
+            raise OSError("no room for the part")
+
+        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 3)
+        monkeypatch.setattr(flowcast.io, "_write_trace_part", failing)
+        message = "no room for the part" if failure == "raises" else "a worker exited with code 3"
+        with pytest.raises(OSError, match=message):
+            with TraceCsvWriter(tmp_path / "trace.csv", series, trace) as trace_csv:
+                trace_csv.finish()
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
     def test_leaving_the_block_unfinished_kills_the_workers(self, tmp_path, monkeypatch):
         series, trace = _gamma_trace(30_000, 3)

@@ -6,12 +6,14 @@ import random
 import re
 import xml.etree.ElementTree as ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flowcast.kalman import FilterParams, filter_series
 from flowcast.metrics import build_report, trend_slope
 from flowcast.plots import (
+    HEIGHT,
     OBSERVED_COLOR,
     PLOT_FILENAMES,
     PREDICTED_COLOR,
@@ -159,6 +161,37 @@ def test_timeseries_of_up_to_557_points_keeps_every_point(pair):
     frame = _timeseries_frame(observed, predicted)
     for values, color in ((observed, OBSERVED_COLOR), (predicted, PREDICTED_COLOR)):
         assert _line_points(svg, color) == [f"{frame.x(i):.2f},{frame.y(v):.2f}" for i, v in enumerate(values)]
+
+
+@st.composite
+def _edge_scatter_points(draw):
+    """Points in a frame fixed by corners at 0 and 10, most of them at the
+    data value that maps to a pixel in a 4 x 4 block, on a cell edge (to
+    within an ulp) or just either side of one or inside the cell, and
+    the rest anywhere in the frame."""
+    lo, hi = _pad_range(0.0, 10.0)
+    frame = _Frame(lo, hi, lo, hi)
+    to_x = lambda p: lo + (p - frame.left) / (frame.right - frame.left) * (hi - lo)
+    to_y = lambda p: lo + (frame.bottom - p) / (frame.bottom - frame.top) * (hi - lo)
+    offsets = st.sampled_from([0.0, 1e-9, -1e-9, 0.3, 0.5, 0.7, -0.3])
+    near = lambda to, first: st.builds(lambda p, d: to(p + d), st.integers(first, first + 3), offsets)
+    xs = draw(st.lists(near(to_x, 300) | st.floats(0.0, 10.0), min_size=1, max_size=300))
+    ys = draw(st.lists(near(to_y, 200) | st.floats(0.0, 10.0), min_size=len(xs), max_size=len(xs)))
+    return [0.0, 10.0, *xs], [0.0, 10.0, *ys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    _edge_scatter_points(),
+    st.builds(lambda n, v: ([v] * n, [v] * n), st.integers(1, 50), st.floats(-1e6, 1e6)),  # one cell
+))
+def test_scatter_marks_match_the_float_key_form(points):
+    xs, ys = points
+    lo, hi = _pad_range(min(xs + ys), max(xs + ys))
+    frame = _Frame(lo, hi, lo, hi)
+    marks = [line for line in scatter_svg(xs, ys, "scatter").splitlines() if line.startswith("<circle")]
+    px, py = frame.x(np.asarray(xs)), frame.y(np.asarray(ys))
+    assert marks == oracles.scatter_marks(px, py, OBSERVED_COLOR, HEIGHT)
 
 
 def _scatter_points(n, seed):
