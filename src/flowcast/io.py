@@ -41,12 +41,17 @@ thread held.
 
 The series and trace CSVs are written 4096 lines at a time, and the
 lines of a block are joined from the texts of its floats; the bytes are
-those of a per-row f-string of plain floats. A column with few distinct
-values (the series, and the trace's observed values and gains) runs repr
-once for each distinct bit pattern in the block, found by np.unique, so
--0.0 and 0.0 keep their own text. The trace's estimates and innovations
-run repr on each value, and a forecast takes the text of the estimate
-before it where their bits match.
+those of a per-row f-string of plain floats. In a file of more than one
+block, a block's float columns go into one C-contiguous 2-D float64
+array, which orjson formats in one call with its shortest round-trip
+formatter; the text is split into rows. repr makes the cells whose text
+orjson writes otherwise: non-finite floats, and 0 < |v| < 1e-4 or
+|v| >= 1e16, where repr uses the exponent form. orjson is imported on
+first use, and used only if it writes a probe set of floats (signed
+zeros, integral floats, both ends of that range, 17-digit values) as
+repr does; if it is missing or writes any other text, repr makes every
+float. A file of one block, such as the paper's 36-bin survey, never
+imports it.
 
 TraceCsvWriter writes trace.csv with as many writers as the same rule
 allows: the calling process, and a forked worker for each other one. It
@@ -68,6 +73,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import mmap
@@ -203,12 +209,19 @@ def read_counts_csv(path: str | Path, records: Iterator[tuple[int, list[str]]] |
     row by row, with the same result and the same errors, from records
     if they are given: the file's _records, from the header on.
     """
-    if os.path.isfile(path):  # a pipe or other stream can be read once: by the row loop
+    return _read_plain_or_rows(path, records, _read_counts_plain, _read_counts_rows)
+
+
+def _read_plain_or_rows(path: str | Path, records: Iterator | None, plain: Callable, rows: Callable):
+    """plain(path) if path is a regular file in the plain form, or else
+    rows(path, records): a pipe or other stream can be read once, so it
+    goes to the row loop."""
+    if os.path.isfile(path):
         try:
-            return _read_counts_plain(path)
+            return plain(path)
         except _NotPlain:
-            pass  # read again outside the handler, once the bulk reader's columns are freed
-    return _read_counts_rows(path, records)
+            pass  # read again outside the handler, once the bulk reader's arrays are freed
+    return rows(path, records)
 
 
 def _read_counts_rows(path: str | Path, records: Iterator[tuple[int, list[str]]] | None = None) -> ClassifiedCounts:
@@ -499,12 +512,7 @@ def read_series_csv(path: str | Path, records: Iterator[tuple[int, list[str]]] |
     is read row by row, with the same result and the same errors, from
     records if they are given, as read_counts_csv does.
     """
-    if os.path.isfile(path):  # a pipe or other stream can be read once: by the row loop
-        try:
-            return _read_series_plain(path)
-        except _NotPlain:
-            pass  # read again outside the handler, once the bulk reader's values are freed
-    return _read_series_rows(path, records)
+    return _read_plain_or_rows(path, records, _read_series_plain, _read_series_rows)
 
 
 def _read_series_rows(path: str | Path, records: Iterator[tuple[int, list[str]]] | None = None) -> FlowSeries:
@@ -595,38 +603,79 @@ def counts_csv_text(counts: ClassifiedCounts) -> str:
 _BLOCK_LINES = 4096
 
 
-def _float_csv_blocks(head: list[str], starts: range, fields: Callable, blocks: slice = slice(None)) -> Iterator[str]:
+def _float_csv_blocks(head: list[str], starts: range, columns: Callable, blocks: slice = slice(None)) -> Iterator[str]:
     """The head lines, then one line for each bin start, as blocks of
     _BLOCK_LINES lines, each ending in a newline; only the blocks that
     blocks selects are made.
 
-    fields(rows) gives the texts of the floats in rows, a slice of starts'
-    indices, as one list a column; a row's line is its start, then its
-    text in each column, joined by commas. Each block makes only its own
-    rows' texts.
+    columns(rows) gives the float columns of rows, a slice of starts'
+    indices; a row's line is its start, then each of its floats as repr
+    writes it, joined by commas. Each block makes only its own rows'
+    texts, through _row_texts, with the bulk formatter when the output
+    has more than one block. On a 2-vCPU VM, importing orjson and probing
+    it took 5-9 ms after flowcast.cli was imported. repr of a full block
+    took 4.2 ms for the series (1.2 ms in bulk) and 14 ms for the trace
+    (1.9 ms), so the import pays for itself within two blocks of either,
+    and a file of one block, such as the paper's 36-bin survey, whose
+    repr takes about 0.1 ms, never imports it.
     """
+    dumps = _bulk_dumps() if len(head) + len(starts) > _BLOCK_LINES else None
     for lo in range(-len(head), len(starts), _BLOCK_LINES)[blocks]:
         rows = slice(max(lo, 0), lo + _BLOCK_LINES)
-        yield "\n".join([*(head if lo < 0 else ()), *_float_rows(starts[rows], fields(rows))]) + "\n"
+        texts = _row_texts(np.stack(columns(rows), axis=1), dumps)
+        yield "\n".join([*(head if lo < 0 else ()), *_float_rows(starts[rows], texts)]) + "\n"
 
 
-def _float_rows(starts: range, fields: list[list[str]]) -> Iterator[str]:
-    """The lines of one block of _float_csv_blocks."""
-    return map(",".join, zip(map(str, starts), *fields))
+def _float_rows(starts: range, texts: list[str]) -> list[str]:
+    """The lines of one block of _float_csv_blocks: each start, a comma
+    and its row's text."""
+    return [f"{start},{text}" for start, text in zip(starts, texts)]
 
 
-def _distinct_texts(column: np.ndarray) -> list[str]:
-    """repr of each float in column, run once for each distinct bit
-    pattern, so that -0.0 and 0.0 keep their own text."""
-    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array([repr(value) for value in distinct.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+def _row_texts(block: np.ndarray, dumps: Callable | None) -> list[str]:
+    """The floats of each row of block, a C-contiguous 2-D float64 array,
+    as repr writes them, joined by commas.
+
+    dumps, from _bulk_dumps, formats the whole block in one call, and its
+    text is split into rows. orjson writes other text than repr for a
+    non-finite float (null), and for 0 < |v| < 1e-4 or |v| >= 1e16 (no
+    exponent form, or '1e16' for '1e+16'), so repr makes those cells.
+    Without dumps, repr makes every cell.
+    """
+    if dumps is None:
+        return [",".join(map(repr, row)) for row in block.tolist()]
+    texts = dumps(block)[2:-2].decode().split("],[")
+    size = np.abs(block)
+    for row, column in np.argwhere(~((block == 0) | ((size >= 1e-4) & (size < 1e16)))).tolist():
+        cells = texts[row].split(",")
+        cells[column] = repr(block[row, column].item())
+        texts[row] = ",".join(cells)
+    return texts
+
+
+# Floats that orjson must write as repr does before _row_texts uses it:
+# signed zeros, integral floats, both ends of the range it formats, and
+# 17-digit values, in two rows, so that the rows are split too.
+_PROBE = np.array([[0.0, -0.0, 2.0, -1e15, 1e-4, -1.0000000000000002e-4, 9999999999999998.0, 0.30000000000000004,
+                    -123456789.12345678]] * 2)
+
+
+@functools.cache
+def _bulk_dumps() -> Callable | None:
+    """orjson.dumps for float64 arrays, or None, which has every float
+    in this process written by repr: when orjson cannot be imported, or
+    when _row_texts with it gives any other text for _PROBE than repr."""
+    try:
+        import orjson  # here, as importing flowcast.cli does not load it
+    except ImportError:
+        return None
+    dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
+    return dumps if _row_texts(_PROBE, dumps) == _row_texts(_PROBE, None) else None
 
 
 def series_csv_text(series: FlowSeries) -> Iterator[str]:
     """Yield the series CSV in blocks of lines."""
-    return _float_csv_blocks([",".join(SERIES_HEADER)], series.bin_starts(),
-                             lambda rows: [_distinct_texts(series.values[rows])])
+    return _float_csv_blocks([",".join(SERIES_HEADER)], series.bin_starts(), lambda rows: [series.values[rows]])
 
 
 def trace_csv_text(series: FlowSeries, trace: FilterTrace, blocks: slice = slice(None)) -> Iterator[str]:
@@ -640,41 +689,16 @@ def trace_csv_text(series: FlowSeries, trace: FilterTrace, blocks: slice = slice
     starts = series.bin_starts()
     # repr of an np.float64 is "np.float64(...)" in numpy 2: write a plain float.
     first = f"{starts[0]},{float(series.values[0])!r},,{float(trace.initial_estimate)!r},,"
+    columns = (series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations)
     return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:],
-                             lambda rows: _trace_fields(series, trace, rows), blocks)
-
-
-def _trace_fields(series: FlowSeries, trace: FilterTrace, rows: slice) -> list[list[str]]:
-    """The texts of trace.csv's float columns in rows of the bins after the first.
-
-    Observed values and gains take few values, so each goes through
-    _distinct_texts; repr takes the estimates and innovations one by one.
-    A forecast is m_t times the estimate before it, and takes that
-    estimate's text where their bits match, as they do at m_t = 1.
-    """
-    before = trace.estimates[rows.start - 1] if rows.start else float(trace.initial_estimate)
-    states = np.concatenate(([before], trace.estimates[rows]))
-    texts = list(map(repr, states.tolist()))
-    forecasts = trace.forecasts[rows]
-    same = forecasts.view(np.int64) == states[:-1].view(np.int64)
-    forecast_texts = texts[:-1] if same.all() else [
-        text if kept else repr(value) for text, kept, value in zip(texts, same.tolist(), forecasts.tolist())]
-    return [_distinct_texts(series.values[1:][rows]), forecast_texts, texts[1:], _distinct_texts(trace.gains[rows]),
-            list(map(repr, trace.innovations[rows].tolist()))]
+                             lambda rows: [column[rows] for column in columns], blocks)
 
 
 def report_json_text(report: EvaluationReport, params: FilterParams) -> str:
-    document = {"schema": 1}
-    document.update(dataclasses.asdict(report))
-    document["params"] = {
-        "m_t": params.transition,
-        # Always 1.0: schema 1 pins this key order, and perfbench/checks.py reads the key.
-        "m_m": 1.0,
-        "q": params.process_var,
-        "r": params.measurement_var,
-        "p0": params.init_var,
-    }
-    return json.dumps(document, indent=2) + "\n"
+    # m_m is always 1.0: schema 1 pins this key order, and perfbench/checks.py reads the key.
+    settings = {"m_t": params.transition, "m_m": 1.0, "q": params.process_var, "r": params.measurement_var,
+                "p0": params.init_var}
+    return json.dumps({"schema": 1, **dataclasses.asdict(report), "params": settings}, indent=2) + "\n"
 
 
 # The most processes that share one file's reading or writing.
@@ -776,6 +800,7 @@ class TraceCsvWriter(contextlib.AbstractContextManager):
                 token = f"{os.getpid()}-{os.urandom(4).hex()}"
                 self._parts = [self.path.with_name(f"{self.path.name}.{token}.part{i}") for i in range(blocks)]
                 self._queue, feed = os.pipe()
+                _bulk_dumps()  # imported and checked once, here, rather than in each worker
                 with open(feed, "wb") as queue:
                     for _ in range(writers - 1):
                         self._workers.start(_write_trace_part, self._parts, series, trace, self._queue)

@@ -112,7 +112,7 @@ def percent_scores(forecast: Sequence[float], observed: Sequence[float],
 # changes with the BLAS thread count).
 def fsum_mean(values: np.ndarray) -> float:
     """The mean, from a correctly rounded sum."""
-    return math.fsum(values.tolist()) / values.size
+    return math.fsum(memoryview(values)) / values.size
 
 
 def _centered(values: np.ndarray) -> np.ndarray:
@@ -133,8 +133,8 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
         raise LengthMismatch("correlation needs at least 2 pairs")
     xc = _centered(x)
     yc = _centered(y)
-    sxx = math.fsum((xc * xc).tolist())
-    syy = math.fsum((yc * yc).tolist())
+    sxx = math.fsum(memoryview(xc * xc))
+    syy = math.fsum(memoryview(yc * yc))
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("correlation is undefined for a constant series")
     scale = math.sqrt(sxx * syy)
@@ -142,7 +142,7 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
         raise ZeroVariance("correlation is undefined: the product of the variances underflows")
     if math.isinf(scale):
         raise ScoreOverflow("pearson_r")
-    r = math.fsum((xc * yc).tolist()) / scale
+    r = math.fsum(memoryview(xc * yc)) / scale
     return max(-1.0, min(1.0, r))
 
 
@@ -209,7 +209,7 @@ def trend_slope(values: Sequence[float]) -> float:
     # The sum of xc * xc is n(n^2 - 1)/12, and int true division rounds it
     # correctly. For n up to 94,906,266 every xc * xc is exact, so this is
     # also what math.fsum gives over them.
-    return math.fsum((xc * (y - fsum_mean(y))).tolist()) / (n * (n * n - 1) / 12)
+    return math.fsum(memoryview(xc * (y - fsum_mean(y)))) / (n * (n * n - 1) / 12)
 
 
 def histogram(values: Sequence[float], bin_count: int) -> list[tuple[float, int]]:

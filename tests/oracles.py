@@ -215,6 +215,14 @@ def trace_csv_lines(series, trace, scale: float) -> Iterator[str]:
         yield f"{start},{observed!r},{forecast!r},{scale * estimate!r},{gain!r},{innovation!r}"
 
 
+def series_csv_lines(series) -> Iterator[str]:
+    """The lines of a series CSV, without terminators, one f-string a row;
+    every float is written by repr."""
+    yield "bin_start,pcu"
+    for i, value in enumerate(series.values.tolist()):
+        yield f"{series.start_time + i * series.bin_duration},{value!r}"
+
+
 # Normalized label (lower case; spaces, hyphens and underscores removed)
 # to canonical label: the nine classes and the aliases car and rickshaw.
 _COUNT_LABELS = {

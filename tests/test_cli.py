@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, config precedence, round-trips."""
 
 import ast
+import contextlib
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -138,12 +140,34 @@ class TestForecast:
         assert run_cli("forecast", str(counts_csv), "--horizon", "0") == 1
 
 
+@contextlib.contextmanager
 def _fed_fifo(path, data):
-    """A FIFO at path, and a daemon thread that writes data into it once a reader opens it."""
+    """A FIFO at path, which a thread feeds data once a reader opens it.
+
+    A FIFO can be read once: a second open of path for reading would wait
+    forever for a writer. So once data is written, the thread opens and
+    closes the writing end as soon as any reader waits, and that reader
+    reads an empty file: code that opens path twice fails at once instead
+    of hanging. Leaving the block, all of data must have been written.
+    """
     os.mkfifo(path)
-    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    written, done = threading.Event(), threading.Event()
+
+    def feed():
+        path.write_bytes(data)
+        written.set()
+        while not done.wait(0.01):
+            with contextlib.suppress(OSError):  # ENXIO: no reader waits
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+    writer = threading.Thread(target=feed, daemon=True)
     writer.start()
-    return path, writer
+    try:
+        yield path
+    finally:
+        done.set()
+        writer.join(timeout=10)
+    assert written.is_set() and not writer.is_alive()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
@@ -151,18 +175,14 @@ class TestFifoInput:
     """A FIFO, which can be read only once, gives what the same input in a file gives."""
 
     def test_run(self, tmp_path, counts_csv):
-        fifo, writer = _fed_fifo(tmp_path / "counts.fifo", counts_csv.read_bytes())
-        assert run_cli("run", str(fifo), "--out-dir", str(tmp_path / "fifo")) == 0
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        with _fed_fifo(tmp_path / "counts.fifo", counts_csv.read_bytes()) as fifo:
+            assert run_cli("run", str(fifo), "--out-dir", str(tmp_path / "fifo")) == 0
         assert run_cli("run", str(counts_csv), "--out-dir", str(tmp_path / "file")) == 0
         assert (tmp_path / "fifo" / "report.json").read_bytes() == (tmp_path / "file" / "report.json").read_bytes()
 
     def test_convert(self, tmp_path, counts_csv, capsys):
-        fifo, writer = _fed_fifo(tmp_path / "counts.fifo", counts_csv.read_bytes())
-        assert run_cli("convert", str(fifo)) == 0
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        with _fed_fifo(tmp_path / "counts.fifo", counts_csv.read_bytes()) as fifo:
+            assert run_cli("convert", str(fifo)) == 0
         from_fifo = capsys.readouterr().out
         assert run_cli("convert", str(counts_csv)) == 0
         assert from_fifo == capsys.readouterr().out
@@ -173,11 +193,9 @@ class TestFifoInput:
         if kind == "series":
             path = tmp_path / "series.csv"
             assert run_cli("convert", str(counts_csv), "--out", str(path)) == 0
-        fifo, writer = _fed_fifo(tmp_path / "input.fifo", path.read_bytes())
         capsys.readouterr()
-        assert run_cli("forecast", str(fifo), "--horizon", "3") == 0
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        with _fed_fifo(tmp_path / "input.fifo", path.read_bytes()) as fifo:
+            assert run_cli("forecast", str(fifo), "--horizon", "3") == 0
         from_fifo = capsys.readouterr().out
         assert run_cli("forecast", str(path), "--horizon", "3") == 0
         assert from_fifo == capsys.readouterr().out
@@ -189,12 +207,25 @@ class TestFifoInput:
         header, first, rest = series.read_text().split("\n", 2)
         assert first.startswith("0,")
         series.write_text(f"{header}\n1970-01-01T00:00:00Z{first[1:]}\n{rest}")
-        fifo, writer = _fed_fifo(tmp_path / "series.fifo", series.read_bytes())
-        assert run_cli("evaluate", str(fifo), "--out-dir", str(tmp_path / "fifo")) == 0
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        with _fed_fifo(tmp_path / "series.fifo", series.read_bytes()) as fifo:
+            assert run_cli("evaluate", str(fifo), "--out-dir", str(tmp_path / "fifo")) == 0
         assert run_cli("evaluate", str(series), "--out-dir", str(tmp_path / "file")) == 0
         assert (tmp_path / "fifo" / "trace.csv").read_bytes() == (tmp_path / "file" / "trace.csv").read_bytes()
+
+    def test_a_second_open_fails_instead_of_hanging(self, tmp_path, counts_csv, monkeypatch, capsys):
+        records = flowcast.io._records
+
+        def opened_twice(path):
+            with open(path, "rb") as handle:  # takes the FIFO's data, then the reader opens it again
+                handle.read()
+            return records(path)
+
+        monkeypatch.setattr(flowcast.io, "_records", opened_twice)
+        started = time.monotonic()
+        with _fed_fifo(tmp_path / "counts.fifo", counts_csv.read_bytes()) as fifo:
+            assert run_cli("run", str(fifo), "--out-dir", str(tmp_path / "fifo")) == 2
+        assert time.monotonic() - started < 30
+        assert "file is empty" in capsys.readouterr().err
 
 
 class TestRunAndEvaluate:
@@ -628,6 +659,26 @@ def test_run_and_evaluate_never_import_numpy_ma(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
     assert (tmp_path / "evaluate" / "report.json").exists()
+
+
+def test_import_and_a_survey_run_never_import_orjson(tmp_path):
+    # Importing orjson takes 5-9 ms, more than writing the floats of a
+    # file of one block by repr; only a larger file loads it.
+    script = (
+        "import sys\n"
+        "from flowcast.cli import cli_main\n"
+        "print('orjson' in sys.modules)\n"
+        "for argv in (['simulate', '--preset', 'paper-like', '--out', 'counts.csv'],\n"
+        "             ['run', 'counts.csv', '--out-dir', 'run']):\n"
+        "    assert cli_main(argv) == 0, argv\n"
+        "print('orjson' in sys.modules)\n"
+        "print(len(open('run/trace.csv').readlines()))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\nFalse\n37\n"
 
 
 def test_cli_binds_every_benchmark_layer_name():

@@ -8,16 +8,18 @@ import os
 import random
 import re
 import signal
+import sys
 import threading
 import time
 import tracemalloc
+import types
 from datetime import datetime, timedelta, timezone
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import flowcast.io
 from flowcast.config import RunConfig, load_config_file, resolve_config
@@ -966,14 +968,20 @@ class TestReportWriting:
 
 
 # Floats whose text is easy to get wrong: signed zeros, subnormals, the
-# ends of the float range, and both sides of the points where repr
-# switches to exponent form (1e16 and 1e-4).
+# ends of the float range, both sides of the points where repr switches
+# to exponent form (1e16 and 1e-4), and the non-finite floats, which
+# orjson writes as null.
 _EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
     1e16, math.nextafter(1e16, 0), math.nextafter(1e16, math.inf), -1e16,
     1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), -1e-4, 0.1, 1.0, 100.0, 1e22,
+    math.nan, math.inf, -math.inf,
 ]
 _TRACE_LENGTHS = [2, 3, 4095, 4096, 4097, 4098, 8191, 8193]  # bins, so lines are one more
+# Every phase but shrinking: a failing example of up to 8,193 bins is
+# reported as found, in seconds, where shrinking it, which formats every
+# row of the oracle for each try, took minutes.
+_NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def _blocks_of(lines):
@@ -1004,7 +1012,7 @@ _FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(), st.floats(-1e3, 1
 class TestTraceWriter:
     """The block writer of trace.csv against the per-row formatter in oracles."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
     @given(
         length=st.sampled_from(_TRACE_LENGTHS),
         pool=st.lists(_FLOAT, min_size=1, max_size=12),
@@ -1016,7 +1024,7 @@ class TestTraceWriter:
         expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, 1.0)))
         assert list(trace_csv_text(series, trace)) == expected
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
     @given(
         length=st.sampled_from(_TRACE_LENGTHS),
         pool=st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-4, 3.0]) | st.floats(-1e6, 1e6), min_size=1, max_size=6),
@@ -1032,7 +1040,7 @@ class TestTraceWriter:
         expected = list(_blocks_of(oracles.trace_csv_lines(series, trace, 1.0)))
         assert list(trace_csv_text(series, trace)) == expected
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
     @given(
         length=st.sampled_from(_TRACE_LENGTHS),
         pool=st.lists(_FLOAT.filter(math.isfinite), min_size=1, max_size=8),
@@ -1108,6 +1116,76 @@ class TestTraceWriter:
         finally:
             tracemalloc.stop()
         assert peak <= 4_000_000
+
+
+class TestSeriesWriter:
+    """The block writer of series CSVs against the per-row formatter in oracles."""
+
+    @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
+    @given(
+        length=st.sampled_from([1, 2, 4095, 4096, 4097, 8192, 8193]),
+        pool=st.lists(_FLOAT, min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        run=st.sampled_from([1, 1, 3, 5000]),
+    )
+    def test_blocks_match_the_per_row_formatter(self, length, pool, seed, run):
+        series, _ = _pooled_trace(length, pool, seed, run)
+        assert list(series_csv_text(series)) == list(_blocks_of(oracles.series_csv_lines(series)))
+
+
+@pytest.fixture()
+def bulk_dumps():
+    """flowcast.io._bulk_dumps, run again on its next call, in this test and after it."""
+    flowcast.io._bulk_dumps.cache_clear()
+    yield flowcast.io._bulk_dumps
+    flowcast.io._bulk_dumps.cache_clear()
+
+
+def _texts_of_every_edge(bulk_dumps):
+    """A trace and a series CSV of three blocks whose columns hold every
+    edge float, and whose bulk formatter was chosen afresh."""
+    series, trace = _pooled_trace(10_000, _EDGE_FLOATS + [2.5, -7.25], 11, 1)
+    series_text = "".join(series_csv_text(series))
+    assert bulk_dumps.cache_info().currsize == 1
+    return "".join(trace_csv_text(series, trace)), series_text
+
+
+class TestBulkFormatter:
+    """The probe that decides whether orjson or repr writes the floats of
+    a file of more than one block."""
+
+    def test_the_installed_orjson_passes_the_probe(self, bulk_dumps):
+        import orjson
+
+        assert bulk_dumps() is not None
+        assert bulk_dumps()(flowcast.io._PROBE) == orjson.dumps(flowcast.io._PROBE, option=orjson.OPT_SERIALIZE_NUMPY)
+
+    def test_without_orjson_repr_writes_the_same_bytes(self, monkeypatch, bulk_dumps):
+        expected = _texts_of_every_edge(bulk_dumps)
+        assert bulk_dumps() is not None
+        bulk_dumps.cache_clear()
+        monkeypatch.setitem(sys.modules, "orjson", None)  # import orjson raises ImportError
+        assert _texts_of_every_edge(bulk_dumps) == expected
+        assert bulk_dumps() is None
+
+    def test_a_formatter_that_fails_the_probe_is_not_used(self, monkeypatch, bulk_dumps):
+        # As orjson would be if a release wrote integral floats without '.0'.
+        expected = _texts_of_every_edge(bulk_dumps)
+        bulk_dumps.cache_clear()
+        changed = types.SimpleNamespace(OPT_SERIALIZE_NUMPY=0, dumps=lambda block, option: json.dumps(
+            block.tolist(), separators=(",", ":")).replace(".0,", ",").replace(".0]", "]").encode())
+        monkeypatch.setitem(sys.modules, "orjson", changed)
+        assert _texts_of_every_edge(bulk_dumps) == expected
+        assert bulk_dumps() is None
+
+    def test_a_strided_column_is_formatted(self):
+        # orjson takes only C-contiguous arrays: a block is stacked from its
+        # columns, so a column may be any view.
+        values = np.arange(20_000, dtype=np.float64) / 8
+        values.flags.writeable = False
+        series = FlowSeries(0, 300, values[::2])
+        assert not series.values.flags.c_contiguous
+        assert list(series_csv_text(series)) == list(_blocks_of(oracles.series_csv_lines(series)))
 
 
 def _gamma_trace(length, seed):
