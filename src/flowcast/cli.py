@@ -30,6 +30,7 @@ from flowcast.io import (
     read_input,
     read_series_csv,
     series_csv_text,
+    trace_csv_text,
     write_report,
 )
 from flowcast.kalman import FilterParams, estimate_noise, filter_series, forecast_next
@@ -144,8 +145,7 @@ def _cmd_forecast(args: argparse.Namespace) -> None:
     params = _filter_params(config, series)
     trace = filter_series(series, params)
     if args.out:
-        with TraceCsvWriter(args.out, series, trace) as trace_csv:
-            trace_csv.finish()
+        atomic_write_text(args.out, trace_csv_text(series, trace))
         _note(f"wrote trace for {len(series)} bins to {args.out}")
     values = forecast_next(trace.estimates[-1], params, args.horizon)
     sys.stdout.write("step,pcu\n")
@@ -159,7 +159,7 @@ def _evaluate_series(series: FlowSeries, config: RunConfig) -> None:
     params = _filter_params(config, series)
     trace = filter_series(series, params)
     predictions = trace.forecasts if config.evaluate_mode == "predicted" else trace.estimates
-    # trace.csv is formatted in worker processes while this one scores and draws.
+    # trace.csv is formatted in a worker process while this one scores and draws.
     with TraceCsvWriter(config.out_dir / TRACE_FILENAME, series, trace) as trace_csv:
         report = build_report(series, predictions, config.percent_denominator)
         plots = render_plots(series.values[1:], predictions, report, config.out_dir, config.histogram_bins)

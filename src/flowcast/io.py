@@ -53,18 +53,15 @@ repr does; if it is missing or writes any other text, repr makes every
 float. A file of one block, such as the paper's 36-bin survey, never
 imports it.
 
-TraceCsvWriter writes trace.csv with as many writers as the same rule
-allows: the calling process, and a forked worker for each other one. It
-forks the workers and writes every block number into one pipe, then a
-stop mark for each writer. A worker takes the next number from the pipe
-at once, and the caller once its other work is done, in finish(); each
-writes that block into its own part file beside the target, named
-trace.csv.<pid>-<random>.part<block>. The caller then copies the parts
-in order, 256 KiB at a time, into the temp file, which is synced and
-renamed. With one writer (fewer than 4096 bins, or one by the rule
-above), the calling process writes the trace itself, as it writes every
-other file. Whatever fails, every worker is killed and waited for and
-every part and temp file is removed; no trace.csv is published, and a
+TraceCsvWriter writes a trace of more than one block, on more than one
+CPU, in one forked worker, which runs while the caller scores and draws.
+The worker writes the whole file into a part file beside the target,
+named trace.csv.<pid>-<random>.part by the caller, and syncs it; finish()
+waits for the worker and renames the part to trace.csv. Otherwise (fewer
+than 4096 bins, one CPU, no os.sched_getaffinity, or another thread
+running) the calling process writes the trace in finish(), as it writes
+every other file. Whatever fails, the worker is killed and waited for and
+the part or temp file is removed; no trace.csv is published, and a
 previous one stays.
 """
 
@@ -78,13 +75,12 @@ import json
 import math
 import mmap
 import os
-import shutil
 import threading
 import warnings
 from array import array
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -102,36 +98,32 @@ REPORT_FILENAME = "report.json"
 TRACE_FILENAME = "trace.csv"
 
 
-@contextlib.contextmanager
-def _atomic_file(path: Path, mode: str) -> Iterator[IO]:
-    """A new file, open in mode, that replaces path once the block ends.
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write via a temp file and rename; readers never see a partial file.
 
-    The temp file has a unique name in the target's directory, so
-    concurrent writers to one path never share it; the last rename wins.
-    It is synced before the rename and removed if the block fails.
+    text is the whole file, or its pieces in order, which are written one
+    at a time so the whole file need not be held at once. The temp file
+    has a unique name in the target's directory, so concurrent writers to
+    one path never share it; the last rename wins. It is synced before the
+    rename and removed if the write fails.
     """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
-            yield handle
-            handle.flush()
-            os.fsync(handle.fileno())
+        _write_synced(tmp, text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
-    """Write via a temp file and rename; readers never see a partial file.
-
-    text is the whole file, or its pieces in order, which are written one
-    at a time so the whole file need not be held at once.
-    """
-    with _atomic_file(Path(path), "w") as handle:
+def _write_synced(path: Path, text: str | Iterable[str]) -> None:
+    """Write text, as atomic_write_text takes it, into a new file at path and sync it."""
+    with open(path, "x", encoding="utf-8") as handle:
         handle.writelines([text] if isinstance(text, str) else text)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def parse_timestamp(text: str, line: int = 0) -> int:
@@ -603,10 +595,9 @@ def counts_csv_text(counts: ClassifiedCounts) -> str:
 _BLOCK_LINES = 4096
 
 
-def _float_csv_blocks(head: list[str], starts: range, columns: Callable, blocks: slice = slice(None)) -> Iterator[str]:
+def _float_csv_blocks(head: list[str], starts: range, columns: Callable) -> Iterator[str]:
     """The head lines, then one line for each bin start, as blocks of
-    _BLOCK_LINES lines, each ending in a newline; only the blocks that
-    blocks selects are made.
+    _BLOCK_LINES lines, each ending in a newline.
 
     columns(rows) gives the float columns of rows, a slice of starts'
     indices; a row's line is its start, then each of its floats as repr
@@ -620,7 +611,7 @@ def _float_csv_blocks(head: list[str], starts: range, columns: Callable, blocks:
     repr takes about 0.1 ms, never imports it.
     """
     dumps = _bulk_dumps() if len(head) + len(starts) > _BLOCK_LINES else None
-    for lo in range(-len(head), len(starts), _BLOCK_LINES)[blocks]:
+    for lo in range(-len(head), len(starts), _BLOCK_LINES):
         rows = slice(max(lo, 0), lo + _BLOCK_LINES)
         texts = _row_texts(np.stack(columns(rows), axis=1), dumps)
         yield "\n".join([*(head if lo < 0 else ()), *_float_rows(starts[rows], texts)]) + "\n"
@@ -678,10 +669,9 @@ def series_csv_text(series: FlowSeries) -> Iterator[str]:
     return _float_csv_blocks([",".join(SERIES_HEADER)], series.bin_starts(), lambda rows: [series.values[rows]])
 
 
-def trace_csv_text(series: FlowSeries, trace: FilterTrace, blocks: slice = slice(None)) -> Iterator[str]:
+def trace_csv_text(series: FlowSeries, trace: FilterTrace) -> Iterator[str]:
     """Yield trace.csv in blocks of lines: the per-bin observed, forecast
-    and filtered values, with each update's gain and innovation. blocks
-    selects which of the file's blocks to make, all by default.
+    and filtered values, with each update's gain and innovation.
 
     The first bin seeded the filter, so its forecast, gain and innovation
     columns are empty.
@@ -691,7 +681,7 @@ def trace_csv_text(series: FlowSeries, trace: FilterTrace, blocks: slice = slice
     first = f"{starts[0]},{float(series.values[0])!r},,{float(trace.initial_estimate)!r},,"
     columns = (series.values[1:], trace.forecasts, trace.estimates, trace.gains, trace.innovations)
     return _float_csv_blocks([",".join(TRACE_HEADER), first], starts[1:],
-                             lambda rows: [column[rows] for column in columns], blocks)
+                             lambda rows: [column[rows] for column in columns])
 
 
 def report_json_text(report: EvaluationReport, params: FilterParams) -> str:
@@ -701,7 +691,7 @@ def report_json_text(report: EvaluationReport, params: FilterParams) -> str:
     return json.dumps({"schema": 1, **dataclasses.asdict(report), "params": settings}, indent=2) + "\n"
 
 
-# The most processes that share one file's reading or writing.
+# The most processes that read one counts file in shares.
 _MAX_WORKERS = 4
 
 
@@ -774,16 +764,15 @@ def _work(function, args, results) -> None:
 
 
 class TraceCsvWriter(contextlib.AbstractContextManager):
-    """Writes trace.csv for a series and its trace to path, in worker
-    processes while the caller goes on with other work, and then in the
-    caller too.
+    """Writes trace.csv for a series and its trace to path, in a forked
+    worker while the caller goes on with other work, or else in the caller.
 
-    Made, it starts the workers, which take the file's blocks from one
-    queue; finish() takes the blocks still queued, waits for the workers
-    and publishes the file. Used as a context manager, it kills and waits
-    for every worker on leaving the block, whether or not finish() ran,
-    and removes the part files. When one process is to write the trace
-    (see the module docstring), it is this one, in finish().
+    Made, it forks the worker if the trace spans more than one block and
+    this process may run on more than one CPU (see the module docstring);
+    finish() waits for it and renames its part file to path, or, with no
+    worker, writes the file itself. Used as a context manager, it kills
+    and waits for the worker on leaving the block, whether or not
+    finish() ran, and removes the part file.
     """
 
     def __init__(self, path: str | Path, series: FlowSeries, trace: FilterTrace):
@@ -791,67 +780,46 @@ class TraceCsvWriter(contextlib.AbstractContextManager):
         self._series = series
         self._trace = trace
         self._workers = _Workers()
-        self._parts: list[Path] = []
-        self._queue: int | None = None
-        blocks = -(-(len(series) + 1) // _BLOCK_LINES)  # a header line and one line a bin
-        if (writers := min(_worker_cpus(), blocks, _MAX_WORKERS)) > 1:
-            try:  # fork a worker for each writer but this process
-                self.path.parent.mkdir(parents=True, exist_ok=True)  # the part files go beside the target
-                token = f"{os.getpid()}-{os.urandom(4).hex()}"
-                self._parts = [self.path.with_name(f"{self.path.name}.{token}.part{i}") for i in range(blocks)]
-                self._queue, feed = os.pipe()
-                _bulk_dumps()  # imported and checked once, here, rather than in each worker
-                with open(feed, "wb") as queue:
-                    for _ in range(writers - 1):
-                        self._workers.start(_write_trace_part, self._parts, series, trace, self._queue)
-                    # The block numbers, then a stop mark (a number past them) for
-                    # each writer. They go in once the workers can take them: a
-                    # pipe may hold as little as 4 KiB, 1024 numbers.
-                    queue.write(np.arange(blocks + writers, dtype="<u4").tobytes())
+        self._part: Path | None = None
+        if _worker_cpus() > 1 and len(series) + 1 > _BLOCK_LINES:  # a header line and one line a bin
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)  # the part file goes beside the target
+                self._part = self.path.with_name(f"{self.path.name}.{os.getpid()}-{os.urandom(4).hex()}.part")
+                _bulk_dumps()  # imported and checked here, so that later workers of this process inherit it
+                self._workers.start(_write_trace_part, self._part, series, trace)
             except BaseException:
                 self.close()
                 raise
 
     def finish(self) -> Path:
-        """Write the blocks still queued, wait for the workers and publish
-        the parts, in order, as the file at path; returns path. A worker's
+        """Wait for the worker and rename its part file to path, or, with
+        no worker, write the file at path here; returns path. A worker's
         exception is raised here; a worker that exited without one raises
         OSError."""
         try:
-            if not self._workers:
+            if self._workers:
+                self._workers.results(self.path)
+                os.replace(self._part, self.path)
+            else:
                 atomic_write_text(self.path, trace_csv_text(self._series, self._trace))
-                return self.path
-            _write_trace_part(self._parts, self._series, self._trace, self._queue)
-            self._workers.results(self.path)
-            with _atomic_file(self.path, "wb") as handle:
-                for part in self._parts:
-                    with open(part, "rb") as source:
-                        shutil.copyfileobj(source, handle, _BLOCK_BYTES)
             return self.path
         finally:
             self.close()
 
     def close(self) -> None:
-        """Kill any worker still running, wait for every one, remove the part files and close the queue."""
+        """Kill the worker if it still runs, wait for it and remove the part file."""
         self._workers.close()
-        for part in self._parts:
-            part.unlink(missing_ok=True)
-        self._parts = []
-        if self._queue is not None:
-            os.close(self._queue)
-            self._queue = None
+        if self._part is not None:
+            self._part.unlink(missing_ok=True)
+            self._part = None
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
 
-def _write_trace_part(parts: list[Path], series: FlowSeries, trace: FilterTrace, queue: int) -> None:
-    """A writer's work: take block numbers from queue up to a stop mark,
-    and write each block i of trace.csv into a new file at parts[i]."""
-    # Each number is 4 bytes, and a pipe gives a read of 4 bytes to one reader whole.
-    while (block := int.from_bytes(os.read(queue, 4), "little")) < len(parts):
-        with open(parts[block], "x", encoding="utf-8") as part:
-            part.writelines(trace_csv_text(series, trace, slice(block, block + 1)))
+def _write_trace_part(part: Path, series: FlowSeries, trace: FilterTrace) -> None:
+    """The worker's work: write the whole of trace.csv into a new file at part and sync it."""
+    _write_synced(part, trace_csv_text(series, trace))
 
 
 def write_report(report: EvaluationReport, trace_csv: TraceCsvWriter, params: FilterParams,

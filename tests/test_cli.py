@@ -560,7 +560,7 @@ def _leftovers(out_dir):
 
 
 class TestParallelTrace:
-    """run and evaluate on more bins than one block, with the trace written by two workers."""
+    """run and evaluate on more bins than one block, with two CPUs allowed: a forked worker writes the trace."""
 
     @pytest.fixture(autouse=True)
     def _two_workers(self, monkeypatch):
@@ -587,6 +587,21 @@ class TestParallelTrace:
         assert run_cli("forecast", str(counts), "--out", str(tmp_path / "fc" / "trace.csv")) == 0
         assert (tmp_path / "fc" / "trace.csv").read_bytes() == (tmp_path / "run" / "trace.csv").read_bytes()
         assert _leftovers(tmp_path / "fc") == []
+
+    def test_forecast_out_forks_nothing(self, tmp_path, monkeypatch, capsys):
+        # forecast has no other work to overlap with the trace, so this process writes it.
+        forks = []
+        start = flowcast.io._Workers.start
+
+        def counted(workers, function, *args):
+            forks.append(function)
+            start(workers, function, *args)
+
+        monkeypatch.setattr(flowcast.io._Workers, "start", counted)
+        counts = _many_bins_counts(tmp_path / "counts.csv")
+        assert run_cli("forecast", str(counts), "--out", str(tmp_path / "fc" / "trace.csv")) == 0
+        assert forks == []
+        assert len((tmp_path / "fc" / "trace.csv").read_text().splitlines()) == 1 + 4_500
 
     def test_zero_first_bin_fails_and_leaves_nothing(self, tmp_path, capsys):
         counts = _many_bins_counts(tmp_path / "counts.csv", first_count=0)

@@ -10,7 +10,6 @@ import re
 import signal
 import sys
 import threading
-import time
 import tracemalloc
 import types
 from datetime import datetime, timedelta, timezone
@@ -1196,16 +1195,17 @@ def _gamma_trace(length, seed):
 
 
 class TestParallelTraceWriter:
-    """TraceCsvWriter's forked workers against the trace written in one process."""
+    """TraceCsvWriter's forked worker against the trace written in one process."""
 
-    @pytest.mark.parametrize("workers", [2, 3, 4, 5])
-    @pytest.mark.parametrize("length", [4096, 8191, 8192, 16_390])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("length", [4095, 4096, 8191, 8192, 16_390])
     def test_any_worker_count_writes_the_same_bytes(self, tmp_path, monkeypatch, workers, length):
         series, trace = _gamma_trace(length, length)
         monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: workers)
         with TraceCsvWriter(tmp_path / "trace.csv", series, trace) as trace_csv:
             blocks = -(-(length + 1) // flowcast.io._BLOCK_LINES)
-            assert len(trace_csv._workers) == min(workers, blocks, flowcast.io._MAX_WORKERS) - 1
+            # One worker for a trace of two blocks or more on more than one CPU, and none otherwise.
+            assert len(trace_csv._workers) == (1 if blocks >= 2 and workers > 1 else 0)
             path = trace_csv.finish()
         assert path.read_text() == "".join(trace_csv_text(series, trace))
         assert path.read_text() == "\n".join(oracles.trace_csv_lines(series, trace, 1.0)) + "\n"
@@ -1216,7 +1216,6 @@ class TestParallelTraceWriter:
     def test_one_cpu_and_every_cpu_write_the_same_bytes(self, tmp_path):
         series, trace = _gamma_trace(20_000, 5)
         cpus = os.sched_getaffinity(0)
-        workers = min(len(cpus), flowcast.io._MAX_WORKERS)
         try:
             os.sched_setaffinity(0, {min(cpus)})
             with TraceCsvWriter(tmp_path / "one" / "trace.csv", series, trace) as trace_csv:
@@ -1225,7 +1224,7 @@ class TestParallelTraceWriter:
         finally:
             os.sched_setaffinity(0, cpus)
         with TraceCsvWriter(tmp_path / "all" / "trace.csv", series, trace) as trace_csv:
-            assert len(trace_csv._workers) == workers - 1
+            assert len(trace_csv._workers) == (1 if len(cpus) > 1 else 0)
             every = trace_csv.finish().read_bytes()
         assert every == one
         assert one == ("\n".join(oracles.trace_csv_lines(series, trace, 1.0)) + "\n").encode()
@@ -1250,7 +1249,7 @@ class TestParallelTraceWriter:
         parent = os.getpid()
 
         def interrupted(starts, fields):
-            if os.getpid() != parent:  # this process formats blocks too, and acts on Ctrl-C
+            if os.getpid() != parent:  # the worker formats every block; this process acts on Ctrl-C
                 os.kill(os.getpid(), signal.SIGINT)
             return float_rows(starts, fields)
 
@@ -1260,9 +1259,8 @@ class TestParallelTraceWriter:
             assert trace_csv.finish().read_text() == expected
 
     def test_parent_memory_peak_on_a_year_is_a_few_blocks(self, tmp_path, monkeypatch):
-        # This process formats its share of the blocks one at a time, then
-        # copies every block once, within the 4 MB the one-process writer
-        # is held to above.
+        # The worker formats every block and this process renames its part
+        # file, within the 4 MB the one-process writer is held to above.
         series, trace = _gamma_trace(105_120, 12)
         monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
         tracemalloc.start()
@@ -1274,27 +1272,6 @@ class TestParallelTraceWriter:
             tracemalloc.stop()
         assert peak <= 4_000_000
         assert (tmp_path / "trace.csv").stat().st_size > 100 * len(series) // 2
-
-    def test_a_slow_worker_leaves_the_blocks_to_this_process(self, tmp_path, monkeypatch):
-        series, trace = _gamma_trace(30_000, 6)
-        blocks = -(-(len(series) + 1) // flowcast.io._BLOCK_LINES)
-        float_rows = flowcast.io._float_rows
-        parent = os.getpid()
-        mine = []  # the first line of each block this process formats
-
-        def slow(starts, fields):
-            if os.getpid() != parent:
-                time.sleep(1.0)
-            else:
-                mine.append(starts[0])
-            return float_rows(starts, fields)
-
-        monkeypatch.setattr(flowcast.io, "_worker_cpus", lambda: 2)
-        monkeypatch.setattr(flowcast.io, "_float_rows", slow)
-        with TraceCsvWriter(tmp_path / "trace.csv", series, trace) as trace_csv:
-            assert trace_csv.finish().read_text() == "".join(trace_csv_text(series, trace))
-        assert len(mine) >= blocks - 1
-        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
     @pytest.mark.parametrize("failure", ["raises", "exits"])
     def test_a_failed_worker_leaves_nothing(self, tmp_path, monkeypatch, failure):
