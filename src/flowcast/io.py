@@ -40,18 +40,21 @@ another thread running, as a fork could then deadlock on a lock that
 thread held.
 
 The series and trace CSVs are written 4096 lines at a time, and the
-lines of a block are joined from the texts of its floats; the bytes are
-those of a per-row f-string of plain floats. In a file of more than one
-block, a block's float columns go into one C-contiguous 2-D float64
-array, which orjson formats in one call with its shortest round-trip
-formatter; the text is split into rows. repr makes the cells whose text
-orjson writes otherwise: non-finite floats, and 0 < |v| < 1e-4 or
-|v| >= 1e16, where repr uses the exponent form. orjson is imported on
-first use, and used only if it writes a probe set of floats (signed
-zeros, integral floats, both ends of that range, 17-digit values) as
-repr does; if it is missing or writes any other text, repr makes every
-float. A file of one block, such as the paper's 36-bin survey, never
-imports it.
+lines of a block are joined in one call from the texts of its bin starts
+and floats; the bytes are those of a per-row f-string of plain floats.
+In a file of more than one block, a block's float columns go into one
+C-contiguous float64 array, which orjson formats in one call, as a flat
+array, with its shortest round-trip formatter; every row-width-th comma
+of the text becomes a line break. repr makes the cells whose text orjson
+writes otherwise: non-finite floats, and 0 < |v| < 1e-4 or |v| >= 1e16,
+where repr uses the exponent form. The block's bin starts are formatted
+by orjson too, as one int64 array, when they fit in int64, and by str
+otherwise. orjson is imported on first use, and used only if it writes a
+probe set of floats (signed zeros, integral floats, both ends of that
+range, 17-digit values) as repr does and of int64 values (zero, -1 and
+both limits) as str does; if it is missing or writes any other text,
+repr and str make every number. A file of one block, such as the
+paper's 36-bin survey, never imports it.
 
 TraceCsvWriter writes a trace of more than one block, on more than one
 CPU, in one forked worker, which runs while the caller scores and draws.
@@ -600,42 +603,63 @@ def _float_csv_blocks(head: list[str], starts: range, columns: Callable) -> Iter
     _BLOCK_LINES lines, each ending in a newline.
 
     columns(rows) gives the float columns of rows, a slice of starts'
-    indices; a row's line is its start, then each of its floats as repr
-    writes it, joined by commas. Each block makes only its own rows'
-    texts, through _row_texts, with the bulk formatter when the output
-    has more than one block. On a 2-vCPU VM, importing orjson and probing
-    it took 5-9 ms after flowcast.cli was imported. repr of a full block
-    took 4.2 ms for the series (1.2 ms in bulk) and 14 ms for the trace
-    (1.9 ms), so the import pays for itself within two blocks of either,
-    and a file of one block, such as the paper's 36-bin survey, whose
-    repr takes about 0.1 ms, never imports it.
+    indices; a row's line is its start as str writes it, then each of its
+    floats as repr writes it, joined by commas. Each block makes only its
+    own rows' texts, through _start_texts and _row_texts, with the bulk
+    formatter when the output has more than one block. On a 2-vCPU VM,
+    importing orjson and probing it took 5-9 ms after flowcast.cli was
+    imported. A full block of the year's series took 3.1 ms through repr
+    and str (0.9 ms in bulk), and of its trace 13.6 ms (1.9 ms), so the
+    import pays for itself within two blocks of either, and a file of one
+    block, such as the paper's 36-bin survey, whose text takes about
+    0.1 ms, never imports it.
     """
     dumps = _bulk_dumps() if len(head) + len(starts) > _BLOCK_LINES else None
     for lo in range(-len(head), len(starts), _BLOCK_LINES):
         rows = slice(max(lo, 0), lo + _BLOCK_LINES)
         texts = _row_texts(np.stack(columns(rows), axis=1), dumps)
-        yield "\n".join([*(head if lo < 0 else ()), *_float_rows(starts[rows], texts)]) + "\n"
+        lines = _float_rows(_start_texts(starts[rows], dumps), texts)
+        yield "".join(f"{line}\n" for line in head) + lines if lo < 0 else lines
 
 
-def _float_rows(starts: range, texts: list[str]) -> list[str]:
-    """The lines of one block of _float_csv_blocks: each start, a comma
-    and its row's text."""
-    return [f"{start},{text}" for start, text in zip(starts, texts)]
+def _float_rows(starts: list[str], texts: list[str]) -> str:
+    """The lines of one block of _float_csv_blocks, joined: each start's
+    text, a comma, its row's text and a newline."""
+    pieces = ["", ",", "", "\n"] * len(texts)
+    pieces[::4] = starts
+    pieces[2::4] = texts
+    return "".join(pieces)
+
+
+def _start_texts(starts: range, dumps: Callable | None) -> list[str]:
+    """The texts of the bin starts of one block, as str writes them.
+
+    dumps, from _bulk_dumps, formats them in one call as an int64 array
+    from np.arange, when the range's start, stop and step all fit in
+    int64; np.arange wraps a value past that range silently. Otherwise, and
+    without dumps, str makes each text.
+    """
+    if dumps is None or not all(-(1 << 63) <= bound < 1 << 63 for bound in (starts.start, starts.stop, starts.step)):
+        return list(map(str, starts))
+    return dumps(np.arange(starts.start, starts.stop, starts.step, dtype=np.int64))[1:-1].decode().split(",")
 
 
 def _row_texts(block: np.ndarray, dumps: Callable | None) -> list[str]:
     """The floats of each row of block, a C-contiguous 2-D float64 array,
     as repr writes them, joined by commas.
 
-    dumps, from _bulk_dumps, formats the whole block in one call, and its
-    text is split into rows. orjson writes other text than repr for a
-    non-finite float (null), and for 0 < |v| < 1e-4 or |v| >= 1e16 (no
-    exponent form, or '1e16' for '1e+16'), so repr makes those cells.
-    Without dumps, repr makes every cell.
+    dumps, from _bulk_dumps, formats the whole block in one call as one
+    flat array, and every row-width-th comma of its text becomes a line
+    break, on which the text is split into rows. orjson writes other
+    text than repr for a non-finite float (null), and for 0 < |v| < 1e-4
+    or |v| >= 1e16 (no exponent form, or '1e16' for '1e+16'), so repr
+    makes those cells. Without dumps, repr makes every cell.
     """
     if dumps is None:
         return [",".join(map(repr, row)) for row in block.tolist()]
-    texts = dumps(block)[2:-2].decode().split("],[")
+    text = np.frombuffer(dumps(block.ravel()), np.uint8)[1:-1].copy()
+    text[np.flatnonzero(text == ord(","))[block.shape[1] - 1 :: block.shape[1]]] = ord("\n")
+    texts = text.tobytes().decode().split("\n")
     size = np.abs(block)
     for row, column in np.argwhere(~((block == 0) | ((size >= 1e-4) & (size < 1e16)))).tolist():
         cells = texts[row].split(",")
@@ -644,24 +668,27 @@ def _row_texts(block: np.ndarray, dumps: Callable | None) -> list[str]:
     return texts
 
 
-# Floats that orjson must write as repr does before _row_texts uses it:
-# signed zeros, integral floats, both ends of the range it formats, and
-# 17-digit values, in two rows, so that the rows are split too.
-_PROBE = np.array([[0.0, -0.0, 2.0, -1e15, 1e-4, -1.0000000000000002e-4, 9999999999999998.0, 0.30000000000000004,
-                    -123456789.12345678]] * 2)
+# Values that orjson must write as repr and str do before it is used. For
+# _row_texts: signed zeros, integral floats, both ends of the range it
+# formats, and 17-digit values, in two rows, so that the rows are split
+# too. For _start_texts: zero, -1 and both ends of the int64 range.
+_PROBE = (np.array([[0.0, -0.0, 2.0, -1e15, 1e-4, -1.0000000000000002e-4, 9999999999999998.0, 0.30000000000000004,
+                     -123456789.12345678]] * 2), np.array([0, -1, -(1 << 63), (1 << 63) - 1], dtype=np.int64))
 
 
 @functools.cache
 def _bulk_dumps() -> Callable | None:
-    """orjson.dumps for float64 arrays, or None, which has every float
-    in this process written by repr: when orjson cannot be imported, or
-    when _row_texts with it gives any other text for _PROBE than repr."""
+    """orjson.dumps for float64 and int64 arrays, or None, which has every
+    number in this process written by repr and str: when orjson cannot be
+    imported, or when it gives any other text for _PROBE than they do."""
     try:
         import orjson  # here, as importing flowcast.cli does not load it
     except ImportError:
         return None
     dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
-    return dumps if _row_texts(_PROBE, dumps) == _row_texts(_PROBE, None) else None
+    floats, ints = _PROBE
+    same_ints = dumps(ints) == f"[{','.join(map(str, ints.tolist()))}]".encode()
+    return dumps if same_ints and _row_texts(floats, dumps) == _row_texts(floats, None) else None
 
 
 def series_csv_text(series: FlowSeries) -> Iterator[str]:

@@ -107,12 +107,43 @@ def percent_scores(forecast: Sequence[float], observed: Sequence[float],
     return float(100.0 * np.mean(np.abs(errors))), float(100.0 * math.sqrt(float(np.mean(errors * errors))))
 
 
-# The sums in pearson and trend_slope are fsums, correctly rounded, so the
-# scores do not depend on the order a library adds in (np.dot's order
-# changes with the BLAS thread count).
+def exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values) of a 1-D float64 array, bit for bit and with the
+    sign of a zero, by ExtractVector (Rump, Ogita and Oishi 2008,
+    "Accurate floating-point summation part I: faithful rounding", SIAM J.
+    Sci. Comput. 31(1)).
+
+    Each level splits every value into a high part, a multiple of
+    2**-53 * sigma, and the rest, both exactly; the high parts of n values
+    below sigma / 2**M, with 2**M > n + 2, sum exactly in any order, so
+    numpy's sum of them is exact. sigma shrinks by 2**(53 - M) a level,
+    until no rest is left. Values of 2**900 or more, inf, nan, a sigma
+    that would fall below 2**-900 and an exact sum of zero go to fsum.
+    """
+    top = np.abs(values)
+    big = float(top.max(initial=0.0))
+    if not 0.0 < big < 2.0**900:
+        return math.fsum(memoryview(values))
+    m = (values.size + 2).bit_length()
+    sigma = math.ldexp(1.0, math.frexp(big)[1] + m)
+    sums, level, rest = [], values, np.empty_like(top)
+    while level.any():
+        if sigma < 2.0**-900:
+            return math.fsum(memoryview(values))
+        np.subtract(np.add(level, sigma, out=top), sigma, out=top)
+        sums.append(float(top.sum()))
+        level = np.subtract(level, top, out=rest)
+        sigma *= math.ldexp(1.0, m - 53)
+    return math.fsum(sums) or math.fsum(memoryview(values))
+
+
+# The sums in pearson and trend_slope are exact_sums, correctly rounded,
+# so the scores do not depend on the order a library adds in (np.dot's
+# order changes with the BLAS thread count); exact_sum uses element-wise
+# ufuncs and numpy's sum only where every order gives the same bits.
 def fsum_mean(values: np.ndarray) -> float:
     """The mean, from a correctly rounded sum."""
-    return math.fsum(memoryview(values)) / values.size
+    return exact_sum(values) / values.size
 
 
 def _centered(values: np.ndarray) -> np.ndarray:
@@ -133,8 +164,8 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
         raise LengthMismatch("correlation needs at least 2 pairs")
     xc = _centered(x)
     yc = _centered(y)
-    sxx = math.fsum(memoryview(xc * xc))
-    syy = math.fsum(memoryview(yc * yc))
+    sxx = exact_sum(xc * xc)
+    syy = exact_sum(yc * yc)
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("correlation is undefined for a constant series")
     scale = math.sqrt(sxx * syy)
@@ -142,7 +173,7 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
         raise ZeroVariance("correlation is undefined: the product of the variances underflows")
     if math.isinf(scale):
         raise ScoreOverflow("pearson_r")
-    r = math.fsum(memoryview(xc * yc)) / scale
+    r = exact_sum(xc * yc) / scale
     return max(-1.0, min(1.0, r))
 
 
@@ -209,7 +240,7 @@ def trend_slope(values: Sequence[float]) -> float:
     # The sum of xc * xc is n(n^2 - 1)/12, and int true division rounds it
     # correctly. For n up to 94,906,266 every xc * xc is exact, so this is
     # also what math.fsum gives over them.
-    return math.fsum(memoryview(xc * (y - fsum_mean(y)))) / (n * (n * n - 1) / 12)
+    return exact_sum(xc * (y - fsum_mean(y))) / (n * (n * n - 1) / 12)
 
 
 def histogram(values: Sequence[float], bin_count: int) -> list[tuple[float, int]]:

@@ -1177,6 +1177,23 @@ class TestBulkFormatter:
         assert _texts_of_every_edge(bulk_dumps) == expected
         assert bulk_dumps() is None
 
+    @pytest.mark.parametrize("start, length, bulk_blocks", [
+        ((1 << 63) - 300 * 5000, 6000, 1),   # the second block's starts pass the int64 maximum
+        (-(1 << 63) - 300 * 3000, 6000, 1),  # the first block's starts begin below the int64 minimum
+        ((1 << 63) - 300 * 8191, 8191, 1),   # the second block's last start fits, its range's stop does not
+    ])
+    def test_starts_past_int64_are_written_by_str(self, monkeypatch, start, length, bulk_blocks):
+        # np.arange wraps such starts silently, so their block's starts go to str.
+        arange = np.arange
+        bulk = []
+        monkeypatch.setattr(flowcast.io.np, "arange", lambda *args, **kwargs: bulk.append(args) or arange(*args, **kwargs))
+        values = np.round(np.random.default_rng(length).gamma(4.0, 25.0, length), 2)
+        values.flags.writeable = False
+        series = FlowSeries(start, 300, values)
+        assert list(series_csv_text(series)) == list(_blocks_of(oracles.series_csv_lines(series)))
+        assert len(bulk) == bulk_blocks
+        assert all(-(1 << 63) <= bound < 1 << 63 for args in bulk for bound in args)
+
     def test_a_strided_column_is_formatted(self):
         # orjson takes only C-contiguous arrays: a block is stacked from its
         # columns, so a column may be any view.
@@ -1276,12 +1293,8 @@ class TestParallelTraceWriter:
     @pytest.mark.parametrize("failure", ["raises", "exits"])
     def test_a_failed_worker_leaves_nothing(self, tmp_path, monkeypatch, failure):
         series, trace = _gamma_trace(20_000, 7)
-        write_part = flowcast.io._write_trace_part
-        parent = os.getpid()
 
         def failing(*args):
-            if os.getpid() == parent:
-                return write_part(*args)
             if failure == "exits":
                 os._exit(3)
             raise OSError("no room for the part")

@@ -22,6 +22,7 @@ from flowcast.metrics import (
     RmspeBand,
     build_report,
     descriptive,
+    exact_sum,
     histogram,
     mape_band,
     pearson,
@@ -68,6 +69,64 @@ class TestRmspe:
 
     def test_two_pair_hand_value(self):
         assert percent_scores([100.0, 100.0], [90.0, 120.0])[1] == pytest.approx(100.0 * math.sqrt(0.025), rel=1e-12)
+
+
+# Floats an exact sum must add as fsum does: signed zeros, subnormals,
+# magnitudes from 1e-300 to 1e300, and quarter values as flows have.
+_SUMMAND = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+    st.floats(-1e300, 1e300),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300)),
+    st.integers(-4000, 4000).map(lambda k: k / 4),
+)
+
+
+def _assert_equals_fsum(values):
+    """exact_sum of values as an array is math.fsum(values), or raises
+    the same exception class; the sign of a zero is compared too."""
+    try:
+        expected = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            exact_sum(np.array(values, dtype=np.float64))
+        return
+    got = exact_sum(np.array(values, dtype=np.float64))
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+    assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+class TestExactSum:
+    @settings(max_examples=300)
+    @given(
+        values=st.lists(_SUMMAND, max_size=60),
+        cancelled=st.integers(0, 60),
+        special=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=2),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_equals_fsum_bit_for_bit(self, values, cancelled, special, order):
+        # Some values meet their exact negation, so some sums cancel to zero.
+        values = values + [-v for v in values[:cancelled]] + special
+        order.shuffle(values)
+        _assert_equals_fsum(values)
+
+    @pytest.mark.parametrize("values", [
+        [], [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [-1.0, 1.0, -0.0], [5e-324, -5e-324],
+        [2.0**-1000, 2.0**-1070], [1e308, 1e308], [2.0**900, -(2.0**900), 1.0], [2.0**899, 1.0, -(2.0**899)],
+        [math.inf, -math.inf], [math.inf, 1.0], [math.nan, 1.0], [1e16, 1.0, -1e16], [0.1] * 10,
+    ])
+    def test_edge_cases_equal_fsum(self, values):
+        _assert_equals_fsum(values)
+
+    @pytest.mark.parametrize("n", [105_120, 1_000_000])
+    def test_equals_fsum_at_scale(self, n):
+        rng = np.random.default_rng(n)
+        flows = np.round(rng.gamma(4.0, 25.0, n) * 4) / 4
+        deviations = flows - math.fsum(flows.tolist()) / n
+        wide = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        halves = rng.normal(size=n // 2) * 10.0 ** rng.integers(-30, 30, n // 2)
+        cancelling = rng.permutation(np.concatenate([halves, -halves]))
+        for values in (flows, deviations, deviations * deviations, wide, cancelling):
+            _assert_equals_fsum(values.tolist())
 
 
 class TestPearson:
