@@ -1177,6 +1177,21 @@ class TestBulkFormatter:
         assert _texts_of_every_edge(bulk_dumps) == expected
         assert bulk_dumps() is None
 
+    def test_a_formatter_that_writes_ints_otherwise_is_not_used(self, monkeypatch, bulk_dumps):
+        # As orjson would be if a release wrote int64 values as floats.
+        import orjson
+
+        expected = _texts_of_every_edge(bulk_dumps)
+        bulk_dumps.cache_clear()
+
+        def dumps(array, option):
+            return orjson.dumps(array.astype(np.float64) if array.dtype == np.int64 else array, option=option)
+
+        changed = types.SimpleNamespace(OPT_SERIALIZE_NUMPY=orjson.OPT_SERIALIZE_NUMPY, dumps=dumps)
+        monkeypatch.setitem(sys.modules, "orjson", changed)
+        assert _texts_of_every_edge(bulk_dumps) == expected
+        assert bulk_dumps() is None
+
     @pytest.mark.parametrize("start, length, bulk_blocks", [
         ((1 << 63) - 300 * 5000, 6000, 1),   # the second block's starts pass the int64 maximum
         (-(1 << 63) - 300 * 3000, 6000, 1),  # the first block's starts begin below the int64 minimum
