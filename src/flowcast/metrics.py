@@ -126,15 +126,15 @@ def exact_sum(values: np.ndarray) -> float:
         return math.fsum(memoryview(values))
     m = (values.size + 2).bit_length()
     sigma = math.ldexp(1.0, math.frexp(big)[1] + m)
-    sums, level, rest = [], values, np.empty_like(top)
-    while level.any():
-        if sigma < 2.0**-900:
-            return math.fsum(memoryview(values))
-        np.subtract(np.add(level, sigma, out=top), sigma, out=top)
-        sums.append(float(top.sum()))
-        level = np.subtract(level, top, out=rest)
+    sums, level, high = [], values, top
+    while sigma >= 2.0**-900 and level.any():
+        high = np.empty_like(top) if high is level else high  # a second work array, from the second level on
+        np.subtract(np.add(level, sigma, out=high), sigma, out=high)
+        sums.append(float(high.sum()))
+        level = np.subtract(level, high, out=top)
         sigma *= math.ldexp(1.0, m - 53)
-    return math.fsum(sums) or math.fsum(memoryview(values))
+    # A rest left when sigma fell below 2**-900, or a zero total, goes to fsum.
+    return (not level.any() and math.fsum(sums)) or math.fsum(memoryview(values))
 
 
 # The sums in pearson and trend_slope are exact_sums, correctly rounded,
